@@ -9,7 +9,7 @@ Subcommands:
 * ``list-families``
 
 Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error,
-3 edge-budget exceeded.
+3 edge-budget exceeded, 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 PARAM_FLAGS = ("n", "l", "a", "b", "c", "g", "h", "k")
 
@@ -202,15 +203,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
+    except (UsageError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -17,50 +17,59 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import combinations_with_replacement
+from operator import sub
+from typing import Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
 
+# Remainders up to this size are finished from a table built once per call,
+# so only the prefixes of larger remainders go through the stack.
+_TAIL = 8
 
-@lru_cache(maxsize=None)
-def _compositions(n: int, min_part: int) -> tuple[Composition, ...]:
+
+def iter_compositions(n: int, min_part: int) -> Iterator[Composition]:
+    """Compositions of n with every part at least min_part, in lexicographic order."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return ((),)
-    out: list[Composition] = []
-    for first in range(min_part, n + 1):
-        for rest in _compositions(n - first, min_part):
-            out.append((first,) + rest)
-    return tuple(out)
+    tails: list[list[Composition]] = [[()]]
+    for m in range(1, min(n, _TAIL) + 1):
+        tails.append([(first,) + rest for first in range(min_part, m + 1)
+                      for rest in tails[m - first]])
+    stack = [((), n)]
+    while stack:
+        prefix, rest = stack.pop()
+        if rest <= _TAIL:
+            yield from map(prefix.__add__, tails[rest])
+        else:
+            stack.extend((prefix + (first,), rest - first)
+                         for first in range(rest, min_part - 1, -1))
 
 
 def compositions_of(n: int) -> tuple[Composition, ...]:
     """All compositions of n in lexicographic order (2^(n-1) of them for n >= 1)."""
-    return _compositions(n, 1)
+    return tuple(iter_compositions(n, 1))
 
 
 def compositions_min2(n: int) -> tuple[Composition, ...]:
     """Compositions of n with every part at least 2, lexicographic order."""
-    return _compositions(n, 2)
+    return tuple(iter_compositions(n, 2))
 
 
-@lru_cache(maxsize=None)
+def iter_weak_compositions(total: int, length: int) -> Iterator[WeakComposition]:
+    """Weak compositions of `total` into `length` parts, lexicographic: the steps
+    between the length - 1 partial sums, drawn with repetition from 0..total."""
+    if total < 0 or length < 1:
+        raise ValueError(f"needs total >= 0 and length >= 1, got {(total, length)}")
+    for sums in combinations_with_replacement(range(total + 1), length - 1):
+        yield tuple(map(sub, sums + (total,), (0,) + sums))
+
+
 def weak_compositions(total: int, length: int) -> tuple[WeakComposition, ...]:
     """All length-`length` sequences of nonnegative integers summing to `total`."""
-    if total < 0:
-        raise ValueError(f"total must be nonnegative, got {total}")
-    if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
-    if length == 1:
-        return ((total,),)
-    out: list[WeakComposition] = []
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, length - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple(iter_weak_compositions(total, length))
 
 
 def w(I: Composition) -> int:

@@ -202,11 +202,6 @@ def get_family(tag: str) -> Family:
     return FAMILIES[tag]
 
 
-def evaluate(tag: str, params: Params) -> ESymFunc:
-    fam = get_family(tag)
-    return fam.evaluate(**params)
-
-
 def build_graph(tag: str, params: Params) -> Graph:
     fam = get_family(tag)
     return fam.build_graph(**params)

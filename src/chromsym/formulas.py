@@ -22,25 +22,23 @@ from math import factorial
 
 from .compositions import (
     Composition,
-    compositions_min2,
-    compositions_of,
     gap,
+    iter_compositions,
+    iter_weak_compositions,
     rho,
     theta,
     theta_minus,
     w,
-    weak_compositions,
 )
-from .symfunc import ESymFunc, e_term
+from .symfunc import ESymFunc, Scalar, e_term
 
-Acc = dict[tuple[int, ...], Fraction]
+Acc = dict[tuple[int, ...], Scalar]
 
 
-def _emit(acc: Acc, parts: Composition, coeff) -> None:
-    if coeff == 0:
-        return
-    key = rho(parts)
-    acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
+def _emit(acc: Acc, parts: Composition, coeff: Scalar) -> None:
+    if coeff:
+        key = rho(parts)
+        acc[key] = acc.get(key, 0) + coeff
 
 
 def _finish(acc: Acc, degree: int, prefactor: int = 1,
@@ -80,7 +78,7 @@ def x_path(n: int) -> ESymFunc:
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         _emit(acc, I, w(I))
     return _finish(acc, n)
 
@@ -95,7 +93,7 @@ def x_cycle(n: int) -> ESymFunc:
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
     acc: Acc = {}
-    for I in compositions_min2(n):
+    for I in iter_compositions(n, 2):
         _emit(acc, I, (I[0] - 1) * w(I))
     return _finish(acc, n)
 
@@ -118,7 +116,7 @@ def x_kchain(parts: Composition) -> ESymFunc:
         prefactor *= factorial(p - 2)
     suffix_i = [sum(I[j:]) for j in range(length + 1)]
     acc: Acc = {}
-    for K in weak_compositions(order, length):
+    for K in iter_weak_compositions(order, length):
         ok = True
         suff_k = order
         for j in range(1, length):  # 0-based index of the 1-based parts 2..l
@@ -153,7 +151,7 @@ def x_lollipop(a: int, l: int) -> ESymFunc:
         raise ValueError(f"needs a >= 1 and l >= 0, got {(a, l)}")
     n = a + l
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[-1] >= a:
             _emit(acc, I, w(I))
     return _finish(acc, n, factorial(a - 1))
@@ -166,7 +164,7 @@ def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
             f"needs a >= 2, l >= 0, 0 <= k <= a-1, got {(a, l, k)}")
     n = a + l
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[-1] == a - 1:
             _emit(acc, I, k * _w_drop_last(I))
         elif I[-1] >= a:
@@ -184,7 +182,7 @@ def x_kpk(a: int, b: int, l: int) -> ESymFunc:
         raise ValueError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[-1] < a:
             continue
         if I[0] >= b:
@@ -204,7 +202,7 @@ def x_kpk_b3(a: int, l: int) -> ESymFunc:
     n = a + l + 2
     acc: Acc = {}
     _emit(acc, (n - 2, 2), n - 4)
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[-1] >= a and I[-1] != n - 2 and (len(I) == 1 or I[1] >= 3):
             _emit(acc, I, w(I))
     return _finish(acc, n, 2 * factorial(a - 1))
@@ -217,7 +215,7 @@ def x_pkp(g: int, a: int, h: int) -> ESymFunc:
     n = g + a + h
     acc: Acc = {}
     _emit(acc, (n,), a - 1)
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if theta(I, h + 1) >= a - 1:
             _emit(acc, I, _f2(I, a))
         if I[-1] >= a - 1:
@@ -235,7 +233,7 @@ def x_kkp(a: int, b: int, h: int) -> ESymFunc:
         raise ValueError(f"needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
     n = a + b + h - 1
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[-1] >= n - h:
             _emit(acc, I, _f1(I, b))
         if len(I) >= 2 and I[-1] + I[-2] >= n - h:
@@ -257,7 +255,7 @@ def x_kpc(a: int, l: int, c: int) -> ESymFunc:
         raise ValueError(f"needs a >= 1, l >= 0, c >= 2, got {(a, l, c)}")
     n = a + l + c - 1
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         weight = w(I)
         if weight == 0:
             continue
@@ -292,7 +290,7 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
     n = a + g + b + h - 1
     acc: Acc = {}
     _emit(acc, (n,), (b - 1) * n)
-    for K in compositions_of(n):
+    for K in iter_compositions(n, 1):
         if len(K) < 2:
             continue
         high_theta = theta(K, h + 1) >= b - 1
@@ -320,7 +318,7 @@ def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
         raise ValueError(f"needs a >= 1 and g, h >= 0, got {(a, g, h)}")
     n = a + g + h + 2
     acc: Acc = {}
-    for K in compositions_of(n):
+    for K in iter_compositions(n, 1):
         high_theta = theta(K, h + 1) >= 2
         if high_theta and K[-1] >= a:
             _emit(acc, K, _f1(K, 3))
@@ -343,16 +341,16 @@ def x_tw_path(n: int, l: int) -> ESymFunc:
     if n < 3 or not 2 <= l <= n - 1:
         raise ValueError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         weight = w(I)
         if weight and theta(I, l - 1) >= 3:
             _emit(acc, I + (1,), weight)
-    for I in compositions_min2(n):
+    for I in iter_compositions(n, 2):
         weight = w(I)
         if theta(I, n - l) >= 3:
             _emit(acc, I + (1,), weight)
         _emit(acc, I + (1,), (1 - Fraction(2, I[0])) * weight)
-    for K in compositions_min2(n + 1):
+    for K in iter_compositions(n + 1, 2):
         weight = w(K)
         t = theta(K, l - 1)
         if t <= 2:
@@ -371,13 +369,13 @@ def x_tw_cycle(n: int) -> ESymFunc:
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         if I[0] >= 4:
             _emit(acc, (1,) + I, 2 * (I[0] - 3) * w((1,) + I))
-    for I in compositions_min2(n + 1):
+    for I in iter_compositions(n + 1, 2):
         if I[0] >= 3 and I[-1] >= 3:
             _emit(acc, I, 2 * (2 * I[0] - 5) * w(I))
-    for I in compositions_min2(n - 1):
+    for I in iter_compositions(n - 1, 2):
         if I[0] >= 3:
             _emit(acc, I + (2,), 4 * (I[0] - 3 + Fraction(1, I[0])) * w(I))
     return _finish(acc, n + 1)
@@ -393,7 +391,7 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
         raise ValueError(f"needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
     n = a + l + 1
     acc: Acc = {}
-    for K in compositions_of(n):
+    for K in iter_compositions(n, 1):
         t = theta(K, h)
         if K[-1] >= a and t >= 3:
             _emit(acc, K, 2 * w(K))
@@ -404,7 +402,7 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
             t3 = theta(K, h + 3)
             if t3 >= 2:
                 _emit(acc, K, Fraction(t3 - 1, t3) * w(K))
-    for I in compositions_of(n - 1):
+    for I in iter_compositions(n - 1, 1):
         if I[-1] >= a and theta(I, h) >= 3:
             _emit(acc, (1,) + I, w(I))
     return _finish(acc, n, 2 * factorial(a - 1))
@@ -416,7 +414,7 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
 
 def _kayak_pairs(n: int, a: int, l: int):
     """Splits IJ of weight-relevant compositions with a+l-j1+1 <= |I| <= a-1."""
-    for K in compositions_min2(n):
+    for K in iter_compositions(n, 2):
         size = 0
         for cut in range(1, len(K)):
             size += K[cut - 1]
@@ -438,7 +436,7 @@ def x_kayak(a: int, b: int, l: int) -> ESymFunc:
         raise ValueError(f"needs a, b >= 3 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
     acc: Acc = {}
-    for K in compositions_of(n):
+    for K in iter_compositions(n, 1):
         base = theta(K, a + l) * w(K)
         if base == 0:
             continue
@@ -477,7 +475,7 @@ def x_infinity(a: int, b: int) -> ESymFunc:
         raise ValueError(f"needs a, b >= 3, got {(a, b)}")
     n = a + b - 1
     acc: Acc = {}
-    for I in compositions_of(n):
+    for I in iter_compositions(n, 1):
         t = theta(I, a)
         base = t * w(I)
         if base == 0:
@@ -507,7 +505,7 @@ def f123_check(a: int, I: Composition) -> bool:
     if a < 2 or not I:
         raise ValueError("needs a >= 2 and a nonempty composition")
     n = sum(I)
-    coeff = Fraction(_f1(I, a) - _f2(I, a) - _f3(I, a))
+    coeff = _f1(I, a) - _f2(I, a) - _f3(I, a)
     actual = ESymFunc({rho(I): coeff})
     expected = e_term((n,), a - 1) if len(I) == 1 else ESymFunc({}, 0)
     return actual == expected

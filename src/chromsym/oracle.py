@@ -32,7 +32,7 @@ from itertools import product
 from math import factorial
 
 from .graphs import Graph, Piece, conjoin, rooted_complete
-from .symfunc import ESymFunc, e_term, one, p_to_e
+from .symfunc import ESymFunc, Scalar, e_term, one, p_to_e
 
 DEFAULT_EDGE_BUDGET = 24
 
@@ -182,10 +182,11 @@ def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
     cost_dp = 3 ** k
     cost_es = 4 * (2 ** len(local))
     coeffs = _vertex_dp(k, local) if cost_dp <= cost_es else _edge_subsets(k, local)
-    out = ESymFunc({}, 0)
+    terms: dict[tuple[int, ...], Scalar] = {}
     for key, c in coeffs.items():
-        out = out + c * _p_lambda(key)
-    return out
+        for part, v in _p_lambda(key).terms.items():
+            terms[part] = terms.get(part, 0) + c * v
+    return ESymFunc(terms)
 
 
 @lru_cache(maxsize=None)

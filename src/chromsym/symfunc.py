@@ -8,15 +8,15 @@ Coefficients are :class:`fractions.Fraction` throughout: several closed-form
 expansions carry fractional coefficients mid-sum even though every final
 chromatic symmetric function has integer coefficients.
 
-Values are immutable once constructed; operations return new values.  The
-power-sum conversion memo is only ever filled idempotently, so concurrent
-reads and fills are safe under the interpreter lock.
+Values are immutable once constructed; operations return new values.
+``p_to_e`` keeps one immutable expansion per degree in a ``functools.cache``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Partition, rho
@@ -216,9 +216,7 @@ def e_term(parts: Iterable[int], coeff: Scalar = 1) -> ESymFunc:
     return ESymFunc({tuple(parts): Fraction(coeff)})
 
 
-_P_TO_E: dict[int, ESymFunc] = {}
-
-
+@cache
 def p_to_e(k: int) -> ESymFunc:
     """Expansion of the power sum p_k in the e-basis.
 
@@ -228,11 +226,7 @@ def p_to_e(k: int) -> ESymFunc:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    for j in range(1, k + 1):
-        if j in _P_TO_E:
-            continue
-        acc = e_term((j,), (-1) ** (j - 1) * j)
-        for i in range(1, j):
-            acc = acc + (-1) ** (j - 1 - i) * (e_term((j - i,)) * _P_TO_E[i])
-        _P_TO_E[j] = acc
-    return _P_TO_E[k]
+    acc = e_term((k,), (-1) ** (k - 1) * k)
+    for i in range(1, k):
+        acc = acc + (-1) ** (k - 1 - i) * (e_term((k - i,)) * p_to_e(i))
+    return acc

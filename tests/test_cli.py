@@ -101,6 +101,14 @@ class TestOracleCmd:
         code, _, err = run(capsys, "oracle", "--graph", str(f))
         assert code == 2 and "line 2" in err
 
+    def test_internal_error_exit_code(self, capsys):
+        # the edge-subset recursion is one level per edge, so 1199 edges
+        # overflow the interpreter stack: a crash, not a user error
+        code, _, err = run(capsys, "oracle", "--family", "path", "--n", "1200",
+                           "--edge-budget", "5000")
+        assert code == 4
+        assert err.startswith("internal error: RecursionError: ")
+
 
 class TestPositivity:
     def test_counterexample_reported(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Composition machinery: enumeration counts, statistics, and their identities."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,7 +47,7 @@ class TestEnumeration:
             assert len(compositions_of(n)) == 2 ** (n - 1)
 
     def test_lexicographic_order(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             seq = compositions_of(n)
             assert list(seq) == sorted(seq)
 
@@ -59,7 +61,7 @@ class TestEnumeration:
             assert len(compositions_min2(n)) == min2_count(n)
 
     def test_min2_is_filter_of_all(self):
-        for n in range(9):
+        for n in range(13):
             expected = {c for c in compositions_of(n) if all(p >= 2 for p in c)}
             assert set(compositions_min2(n)) == expected
 
@@ -72,6 +74,7 @@ class TestEnumeration:
     def test_weak_composition_sums(self, total, length):
         seen = weak_compositions(total, length)
         assert len(set(seen)) == len(seen)
+        assert len(seen) == math.comb(total + length - 1, length - 1)
         for k in seen:
             assert len(k) == length and sum(k) == total and min(k) >= 0
 

@@ -6,6 +6,7 @@ together.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -62,6 +63,16 @@ class TestPathsAndCycles:
     def test_path_differential(self):
         from chromsym.graphs import path
         assert x_path(6) == csf_bruteforce(path(6))
+
+    def test_path_keeps_no_compositions(self):
+        # the 2^17 compositions of 18 are streamed, not memoized
+        tracemalloc.start()
+        try:
+            x_path(18)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 5 * 2 ** 20
 
     def test_cycle_small(self):
         assert x_cycle(3) == e_term((3,), 6)
