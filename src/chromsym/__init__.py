@@ -7,6 +7,7 @@ differential verification.
 """
 
 from .compositions import (
+    composition_sum,
     compositions_min2,
     compositions_of,
     concat,

@@ -11,15 +11,20 @@ Conventions used throughout the package:
 * Prefix sums always include the empty prefix, so ``sigma(I, 0) == 0`` and
   ``theta(I, 0) == 0`` are well defined.
 
+:func:`composition_sum` sums a product of per-part factors over all
+compositions of n by a prefix-sum DP over partitions; every closed form in
+:mod:`chromsym.formulas` is evaluated with it.
+
 All functions are pure and all values immutable, so everything here is safe
 for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations_with_replacement
 from operator import sub
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -70,6 +75,54 @@ def iter_weak_compositions(total: int, length: int) -> Iterator[WeakComposition]
 def weak_compositions(total: int, length: int) -> tuple[WeakComposition, ...]:
     """All length-`length` sequences of nonnegative integers summing to `total`."""
     return tuple(iter_weak_compositions(total, length))
+
+
+def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]],
+                    start: Hashable) -> dict[Partition, int]:
+    """Sum over the compositions of n of a product of per-part factors, by partition.
+
+    A composition is read part by part, carrying a small state that starts at
+    `start`.  A part p starting at offset s (the sum of the parts before it)
+    is offered as ``step(state, s, p)``, which returns the ``(new_state,
+    coeff)`` pairs it leads to: none, or a zero coeff, drops the composition,
+    and several split it into summands.  The coefficient of a composition is
+    the product of the coeffs along its path, credited to the partition of
+    its parts.  Steps ending at n must return only states whose composition
+    is complete.
+
+    Compositions with the same prefix sum, state and partition are merged, so
+    the work grows with the number of partitions of n times the number of
+    states, not with the 2^(n-1) compositions.  Coefficients may be any exact
+    numbers; the result maps partitions (weakly decreasing) to their totals,
+    without zero entries.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    # layers[s]: state -> {partition of s, increasing: coefficient}
+    layers: list[dict] = [{} for _ in range(n + 1)]
+    layers[0][start] = {(): 1}
+    for s in range(n):
+        for state, poly in layers[s].items():
+            for p in range(1, n - s + 1):
+                pairs = [pair for pair in step(state, s, p) if pair[1]]
+                if not pairs:
+                    continue
+                moved = []
+                for key, c in poly.items():
+                    i = bisect_right(key, p)
+                    moved.append((key[:i] + (p,) + key[i:], c))
+                target = layers[s + p]
+                for new_state, coeff in pairs:
+                    out = target.setdefault(new_state, {})
+                    for key, c in moved:
+                        out[key] = out.get(key, 0) + coeff * c
+        layers[s] = {}
+    total: dict[Partition, int] = {}
+    for poly in layers[n].values():
+        for key, c in poly.items():
+            key = key[::-1]
+            total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}
 
 
 def w(I: Composition) -> int:

@@ -2,9 +2,26 @@
 
 Every evaluator returns the full chromatic symmetric function (prefactors
 multiplied back in) as an exact :class:`~chromsym.symfunc.ESymFunc`.  The
-sums run over integer compositions and are weighted by the statistics from
-:mod:`chromsym.compositions`; fractional weights are exact rationals and a
-finishing check asserts that the combined result is integral.
+expansions are sums over integer compositions, weighted by the statistics of
+:mod:`chromsym.compositions`.  They are evaluated by the prefix-sum DP
+:func:`~chromsym.compositions.composition_sum`, whose work grows with the
+number of partitions of n, not with the 2^(n-1) compositions.  Each
+evaluator supplies a step that weighs one part p starting at offset s, and
+every statistic is settled at a single step:
+
+* w takes p from the first part (s == 0) and p - 1 from every later part;
+* the part straddling a position x is the one with s < x <= s + p, so
+  theta(I, x) = s + p - x, theta_minus(I, x) = x - s, or 0 when s + p == x,
+  and gap(I, x) = p when s + p > x;
+* the last part is the one with s + p == n, and K[-1] + K[-2] >= n - h says
+  that K[-2] started at s <= h;
+* the first part, and whatever else a later step needs, rides in the state.
+
+Fractional weights are summed multiplied by the factors of w they divide,
+so every coefficient is an integer; a finishing check asserts that the
+combined result is integral (and e-positive where a sum is subtracted).
+The per-composition definitions are kept in ``tests/reference_formulas.py``
+and checked against these evaluators.
 
 Conventions:
 
@@ -17,14 +34,13 @@ Conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
+# perfbench's tracer wraps w, theta, theta_minus, gap and rho here by name: keep them importable.
 from .compositions import (
     Composition,
+    composition_sum,
     gap,
-    iter_compositions,
-    iter_weak_compositions,
     rho,
     theta,
     theta_minus,
@@ -35,10 +51,22 @@ from .symfunc import ESymFunc, Scalar, e_term
 Acc = dict[tuple[int, ...], Scalar]
 
 
-def _emit(acc: Acc, parts: Composition, coeff: Scalar) -> None:
-    if coeff:
-        key = rho(parts)
-        acc[key] = acc.get(key, 0) + coeff
+def _wf(s: int, p: int) -> int:
+    """The factor of w for a part p starting at offset s: p first, p - 1 after."""
+    return p if s == 0 else p - 1
+
+
+def _product_sum(n: int, factor) -> Acc:
+    """Sum over the compositions of n of the product of factor(s, p) over their parts."""
+    return composition_sum(n, lambda state, s, p: ((state, factor(s, p)),), None)
+
+
+def _add(acc: Acc, poly: Acc, extra: Composition = ()) -> Acc:
+    """Add poly into acc, with the parts of `extra` joined to every partition."""
+    for key, c in poly.items():
+        key = rho(key + extra)
+        acc[key] = acc.get(key, 0) + c
+    return acc
 
 
 def _finish(acc: Acc, degree: int, prefactor: int = 1,
@@ -77,10 +105,7 @@ def x_path(n: int) -> ESymFunc:
     """X of the path on n vertices: sum of w_I e_I over compositions I of n."""
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        _emit(acc, I, w(I))
-    return _finish(acc, n)
+    return _finish(_product_sum(n, _wf), n)
 
 
 def x_cycle(n: int) -> ESymFunc:
@@ -92,10 +117,7 @@ def x_cycle(n: int) -> ESymFunc:
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got {n}")
-    acc: Acc = {}
-    for I in iter_compositions(n, 2):
-        _emit(acc, I, (I[0] - 1) * w(I))
-    return _finish(acc, n)
+    return _finish(_product_sum(n, lambda s, p: (p - 1) * p if s == 0 else p - 1), n)
 
 
 def x_kchain(parts: Composition) -> ESymFunc:
@@ -103,7 +125,9 @@ def x_kchain(parts: Composition) -> ESymFunc:
 
     The expansion runs over the weak compositions K of n - l + 1 of length l
     that branch consistently against the suffix sums of the part sequence;
-    zero parts of K are dropped when forming e_K.
+    zero parts of K are dropped when forming e_K.  The state is the index of
+    the next part of K; a step places one positive part and then any run of
+    zero parts after it.
     """
     I = tuple(parts)
     if not I or any(p < 2 for p in I):
@@ -114,28 +138,28 @@ def x_kchain(parts: Composition) -> ESymFunc:
     prefactor = factorial(I[-1] - 1)
     for p in I[:-1]:
         prefactor *= factorial(p - 2)
-    suffix_i = [sum(I[j:]) for j in range(length + 1)]
-    acc: Acc = {}
-    for K in iter_weak_compositions(order, length):
-        ok = True
-        suff_k = order
-        for j in range(1, length):  # 0-based index of the 1-based parts 2..l
-            suff_k -= K[j - 1]
-            bound = suffix_i[j] - (length - 1 - j)
-            if K[j] < I[j - 1]:
-                ok = suff_k < bound
-            else:
-                ok = suff_k >= bound
-            if not ok:
+    bound = [sum(I[j:]) - (length - 1 - j) for j in range(length)]
+
+    def factor(j: int, suffix: int, k: int) -> int:
+        """Factor of K[j] = k (j >= 1) when K[j] + ... + K[l-1] = suffix; 0 off-branch."""
+        if (k < I[j - 1]) != (suffix < bound[j]):
+            return 0
+        return abs(k - I[j - 1] + 1)
+
+    def step(j, s, p):
+        coeff = p if j == 0 else factor(j, order - s, p)
+        rest = order - s - p
+        pairs = []
+        for m in range(j + 1, length):
+            if not coeff:
                 break
-        if not ok:
-            continue
-        coeff = K[0]
-        for j in range(1, length):
-            coeff *= abs(K[j] - I[j - 1] + 1)
-        if coeff:
-            _emit(acc, tuple(p for p in K if p), coeff)
-    return _finish(acc, order, prefactor)
+            if rest:
+                pairs.append((m, coeff))
+            coeff *= factor(m, rest, 0)
+        if coeff and not rest:
+            pairs.append((length, coeff))
+        return pairs
+    return _finish(composition_sum(order, step, 0), order, prefactor)
 
 
 # ----------------------------------------------------------------------
@@ -150,26 +174,28 @@ def x_lollipop(a: int, l: int) -> ESymFunc:
     if a < 1 or l < 0:
         raise ValueError(f"needs a >= 1 and l >= 0, got {(a, l)}")
     n = a + l
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        if I[-1] >= a:
-            _emit(acc, I, w(I))
-    return _finish(acc, n, factorial(a - 1))
+    return _finish(_product_sum(n, lambda s, p: _wf(s, p) if s + p < n or p >= a else 0),
+                   n, factorial(a - 1))
 
 
 def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
-    """X of the lollipop K_a^l with k center edges removed."""
+    """X of the lollipop K_a^l with k center edges removed.
+
+    The last part weighs k when it is a - 1 (it leaves w) and
+    (a - k - 1)(i_{-1} - 1) when it is at least a.
+    """
     if a < 2 or l < 0 or not 0 <= k <= a - 1:
         raise ValueError(
             f"needs a >= 2, l >= 0, 0 <= k <= a-1, got {(a, l, k)}")
     n = a + l
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        if I[-1] == a - 1:
-            _emit(acc, I, k * _w_drop_last(I))
-        elif I[-1] >= a:
-            _emit(acc, I, (a - k - 1) * w(I))
-    return _finish(acc, n, factorial(a - 2))
+
+    def factor(s, p):
+        if s + p < n:
+            return _wf(s, p)
+        if p == a - 1:
+            return k
+        return (a - k - 1) * _wf(s, p) if p >= a else 0
+    return _finish(_product_sum(n, factor), n, factorial(a - 2))
 
 
 # ----------------------------------------------------------------------
@@ -177,96 +203,117 @@ def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_kpk(a: int, b: int, l: int) -> ESymFunc:
-    """X of the chain K_a + P_{l+1} + K_b."""
+    """X of the chain K_a + P_{l+1} + K_b.
+
+    Compositions with i_{-1} >= a weigh w_I when i_1 >= b, and
+    (i_2 - i_1)(i_3 - 1)...(i_l - 1) when i_1 < b <= i_2.  The state is
+    "first", then i_1 while i_2 is pending, then "w".
+    """
     if a < 1 or b < 1 or l < 0:
         raise ValueError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        if I[-1] < a:
-            continue
-        if I[0] >= b:
-            _emit(acc, I, w(I))
-        elif len(I) >= 2 and I[1] > b - 1:
-            tail = 1
-            for p in I[2:]:
-                tail *= p - 1
-            _emit(acc, I, (I[1] - I[0]) * tail)
-    return _finish(acc, n, factorial(a - 1) * factorial(b - 1))
+
+    def step(state, s, p):
+        if s + p == n and p < a:
+            return ()
+        if state == "w":
+            return (("w", p - 1),)
+        if state == "first":
+            return (("w", p),) if p >= b else ((p, 1),)
+        return (("w", p - state),) if p >= b else ()
+    return _finish(composition_sum(n, step, "first"), n,
+                   factorial(a - 1) * factorial(b - 1))
 
 
 def x_kpk_b3(a: int, l: int) -> ESymFunc:
-    """X of K_a + P_{l+1} + K_3 in its condensed two-term form (a >= 3)."""
+    """X of K_a + P_{l+1} + K_3 in its condensed two-term form (a >= 3).
+
+    The state counts the parts read, up to 2: a second part must be >= 3.
+    """
     if a < 3 or l < 0:
         raise ValueError(f"needs a >= 3 and l >= 0, got {(a, l)}")
     n = a + l + 2
-    acc: Acc = {}
-    _emit(acc, (n - 2, 2), n - 4)
-    for I in iter_compositions(n, 1):
-        if I[-1] >= a and I[-1] != n - 2 and (len(I) == 1 or I[1] >= 3):
-            _emit(acc, I, w(I))
+
+    def step(i, s, p):
+        if (s + p == n and (p < a or p == n - 2)) or (i == 1 and p < 3):
+            return ()
+        return ((min(i + 1, 2), _wf(s, p)),)
+    acc = _add({(n - 2, 2): n - 4}, composition_sum(n, step, 0))
     return _finish(acc, n, 2 * factorial(a - 1))
 
 
 def x_pkp(g: int, a: int, h: int) -> ESymFunc:
-    """X of the chain P_{g+1} + K_a + P_{h+1} (order g + a + h)."""
+    """X of the chain P_{g+1} + K_a + P_{h+1} (order g + a + h).
+
+    (a - 1) e_n, plus f2 over theta_I(h+1) >= a - 1, plus f3 over i_{-1} >= a - 1.
+    """
     if g < 0 or h < 0 or a < 2:
         raise ValueError(f"needs g, h >= 0 and a >= 2, got {(g, a, h)}")
     n = g + a + h
-    acc: Acc = {}
-    _emit(acc, (n,), a - 1)
-    for I in iter_compositions(n, 1):
-        if theta(I, h + 1) >= a - 1:
-            _emit(acc, I, _f2(I, a))
-        if I[-1] >= a - 1:
-            _emit(acc, I, _f3(I, a))
+    x = h + 1
+
+    def f2(s, p):
+        if s < x <= s + p < x + a - 1:
+            return 0
+        return (a - 2) * p if s + p == n else _wf(s, p)
+    acc = _add({(n,): a - 1}, _product_sum(n, f2))
+    _add(acc, _product_sum(n, lambda s, p: _wf(s, p) if s + p < n else max(p - a + 1, 0)))
     return _finish(acc, n, factorial(a - 2))
 
 
 def x_kkp(a: int, b: int, h: int) -> ESymFunc:
     """X of the chain K_a + K_b + P_{h+1}.
 
-    One of the three sums is subtracted; positivity holds only for the total
-    and is asserted on it.
+    f1 over i_{-1} >= n - h, and -f3 or +f3 over i_{-1} + i_{-2} >= n - h, that
+    is over compositions whose second-to-last part starts at <= h; the state
+    says whether the part just read started there.  One of the three sums is
+    subtracted; positivity holds only for the total and is asserted on it.
     """
     if a < 1 or b < 2 or h < 0:
         raise ValueError(f"needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
     n = a + b + h - 1
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        if I[-1] >= n - h:
-            _emit(acc, I, _f1(I, b))
-        if len(I) >= 2 and I[-1] + I[-2] >= n - h:
-            if I[-1] <= min(a - 1, b - 2):
-                _emit(acc, I, -_f3(I, b))
-            if max(a, b) <= I[-1] <= n - h - 1:
-                _emit(acc, I, _f3(I, b))
-    return _finish(acc, n, factorial(a - 1) * factorial(b - 2),
-                   require_positive=True)
+
+    def step(prev_near, s, p):
+        if s + p < n:
+            return ((s <= h, _wf(s, p)),)
+        coeff = (b - 1) * _wf(s, p) if p >= n - h else 0
+        if prev_near:
+            if p <= min(a - 1, b - 2):
+                coeff -= p - b + 1
+            elif max(a, b) <= p <= n - h - 1:
+                coeff += p - b + 1
+        return ((None, coeff),)
+    return _finish(composition_sum(n, step, False), n,
+                   factorial(a - 1) * factorial(b - 2), require_positive=True)
 
 
 def x_kpc(a: int, l: int, c: int) -> ESymFunc:
     """X of the clique-path-cycle chain K_a + P_{l+1} + C_c.
 
-    The per-composition coefficient has three branches; the fractional middle
-    branch applies when i_1 <= a - 1 and i_2 >= a + l.
+    Compositions with i_2 >= a weigh theta_I(a+l) w_I, except that
+    i_1 <= a - 1 and i_2 >= a + l give (i_2 - a - l + (i_2 - i_1)/(i_2 - 1)) w_I,
+    summed as i_1 ((i_2 - a - l)(i_2 - 1) + i_2 - i_1)(i_3 - 1)...  The
+    state is i_1 until i_2 is read, then 0.
     """
     if a < 1 or l < 0 or c < 2:
         raise ValueError(f"needs a >= 1, l >= 0, c >= 2, got {(a, l, c)}")
     n = a + l + c - 1
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        weight = w(I)
-        if weight == 0:
-            continue
-        if len(I) >= 2 and I[1] < a:
-            continue
-        if len(I) >= 2 and I[0] <= a - 1 and I[1] >= a + l:
-            coeff = I[1] - a - l + Fraction(I[1] - I[0], I[1] - 1)
-        else:
-            coeff = theta(I, a + l)
-        _emit(acc, I, coeff * weight)
-    return _finish(acc, n, factorial(a - 1))
+    x = a + l
+
+    def step(i1, s, p):
+        coeff = _wf(s, p)
+        if s == 0:
+            i1 = p
+        elif i1:
+            if p < a:
+                return ()
+            if i1 <= a - 1 and p >= x:  # i_2 straddles a + l: no theta
+                return ((0, (p - x) * coeff + p - i1),)
+            i1 = 0
+        if s < x <= s + p:
+            coeff *= s + p - x
+        return ((i1, coeff),)
+    return _finish(composition_sum(n, step, 0), n, factorial(a - 1))
 
 
 def x_tadpole(c: int, l: int) -> ESymFunc:
@@ -278,6 +325,23 @@ def x_tadpole(c: int, l: int) -> ESymFunc:
 # clique-path-clique-path chains
 # ----------------------------------------------------------------------
 
+def _kpkp_sum(n: int, a: int, b: int, h: int, last) -> Acc:
+    """A sum for the clique-path-clique-path chains, settled at the last part.
+
+    The state is (theta_K(h+1) >= b - 1 once known, K[-2] >= a, K[-2] started
+    at <= h, i.e. K[-1] + K[-2] >= n - h); ``last(s, p, *state)`` weighs the
+    last part p, against w of the parts before it.
+    """
+    def step(state, s, p):
+        high, prev_big, near = state
+        if s < h + 1 <= s + p:
+            high = s + p - h - 1 >= b - 1
+        if s + p < n:
+            return (((high, p >= a, s <= h), _wf(s, p)),)
+        return ((None, last(s, p, high, prev_big, near)),)
+    return composition_sum(n, step, (None, False, False))
+
+
 def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
     """X of the chain K_a + P_{g+1} + K_b + P_{h+1} (order n = a+g+b+h-1).
 
@@ -288,26 +352,24 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ValueError(f"needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
     n = a + g + b + h - 1
-    acc: Acc = {}
-    _emit(acc, (n,), (b - 1) * n)
-    for K in iter_compositions(n, 1):
-        if len(K) < 2:
-            continue
-        high_theta = theta(K, h + 1) >= b - 1
-        last, prev = K[-1], K[-2]
-        tail_near = last + prev >= n - h
-        if high_theta:
-            if last >= b - 1 and prev >= a and not tail_near:
-                _emit(acc, K, _f1(K, b))
-            if tail_near and last >= max(a, b - 1):
-                _emit(acc, K, _f1(K, b))
-            if last <= b - 2 and prev >= a and (last >= a or not tail_near):
-                _emit(acc, K, _f2(K, b))
-            if tail_near and last <= min(a - 1, b - 2):
-                _emit(acc, K, -_f3(K, b))
-        else:
-            if last >= b - 1 and (tail_near or prev >= a):
-                _emit(acc, K, _f3(K, b))
+
+    def last(s, p, high, prev_big, near):
+        if s == 0:
+            return 0
+        f1, f2, f3 = (b - 1) * (p - 1), (b - 2) * p, p - b + 1
+        if not high:
+            return f3 if p >= b - 1 and (near or prev_big) else 0
+        coeff = 0
+        if p >= b - 1 and prev_big and not near:
+            coeff += f1
+        if near and p >= max(a, b - 1):
+            coeff += f1
+        if p <= b - 2 and prev_big and (p >= a or not near):
+            coeff += f2
+        if near and p <= min(a - 1, b - 2):
+            coeff -= f3
+        return coeff
+    acc = _add({(n,): (b - 1) * n}, _kpkp_sum(n, a, b, h, last))
     return _finish(acc, n, factorial(a - 1) * factorial(b - 2),
                    require_positive=True)
 
@@ -317,19 +379,15 @@ def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
     if a < 1 or g < 0 or h < 0:
         raise ValueError(f"needs a >= 1 and g, h >= 0, got {(a, g, h)}")
     n = a + g + h + 2
-    acc: Acc = {}
-    for K in iter_compositions(n, 1):
-        high_theta = theta(K, h + 1) >= 2
-        if high_theta and K[-1] >= a:
-            _emit(acc, K, _f1(K, 3))
-        if len(K) < 2:
-            continue
-        if high_theta and K[-1] == 1 and K[-2] >= a:
-            _emit(acc, K, _f2(K, 3))
-        if (not high_theta and K[-1] >= 2
-                and (K[-1] + K[-2] >= n - h or K[-2] >= a)):
-            _emit(acc, K, _f3(K, 3))
-    return _finish(acc, n, factorial(a - 1))
+
+    def last(s, p, high, prev_big, near):
+        coeff = 2 * _wf(s, p) if high and p >= a else 0
+        if s and high and p == 1 and prev_big:
+            coeff += 1
+        if s and not high and p >= 2 and (near or prev_big):
+            coeff += p - 2
+        return coeff
+    return _finish(_kpkp_sum(n, a, 3, h, last), n, factorial(a - 1))
 
 
 # ----------------------------------------------------------------------
@@ -337,47 +395,51 @@ def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_tw_path(n: int, l: int) -> ESymFunc:
-    """X of the path on n vertices twinned at its l-th vertex (2 <= l <= n-1)."""
+    """X of the path on n vertices twinned at its l-th vertex (2 <= l <= n-1).
+
+    The fractional weights of the expansion cancel against w: the head term
+    (1 - 2/i_1) w_I weighs i_1 - 2 for its first part, and (1 - 1/theta_K(l+t)) w_K
+    weighs k - 2 for the part k read right after the one reaching l - 1 with
+    overshoot t <= 2 (that part's overshoot at l + t is k - 1).
+    """
     if n < 3 or not 2 <= l <= n - 1:
         raise ValueError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        weight = w(I)
-        if weight and theta(I, l - 1) >= 3:
-            _emit(acc, I + (1,), weight)
-    for I in iter_compositions(n, 2):
-        weight = w(I)
-        if theta(I, n - l) >= 3:
-            _emit(acc, I + (1,), weight)
-        _emit(acc, I + (1,), (1 - Fraction(2, I[0])) * weight)
-    for K in iter_compositions(n + 1, 2):
-        weight = w(K)
-        t = theta(K, l - 1)
-        if t <= 2:
-            inner = theta(K, l + t)
-            if inner < 1:
-                raise AssertionError(
-                    f"inner overshoot vanished for {K}, l={l}")
-            _emit(acc, K, (1 - Fraction(1, inner)) * weight)
-        else:
-            _emit(acc, K, 2 * weight)
+
+    def overshoot_at_least_3(x: int, min_part: int):
+        return lambda s, p: 0 if p < min_part or s < x <= s + p < x + 3 else _wf(s, p)
+
+    def twin_sum(state, s, p):
+        if p < 2:
+            return ()
+        if state == "next":
+            return (("w", p - 2),)
+        coeff = _wf(s, p)
+        if s < l - 1 <= s + p:
+            return (("next", coeff),) if s + p - (l - 1) <= 2 else (("w", 2 * coeff),)
+        return (("w", coeff),)
+    acc = composition_sum(n + 1, twin_sum, "w")
+    _add(acc, _product_sum(n, overshoot_at_least_3(l - 1, 1)), (1,))
+    _add(acc, _product_sum(n, overshoot_at_least_3(n - l, 2)), (1,))
+    _add(acc, _product_sum(n, lambda s, p: (p - 2 if s == 0 else p - 1) if p >= 2 else 0), (1,))
     return _finish(acc, n + 1, 2)
 
 
 def x_tw_cycle(n: int) -> ESymFunc:
-    """X of the cycle on n vertices with one vertex twinned."""
+    """X of the cycle on n vertices with one vertex twinned.
+
+    Three sums that differ from w only in the first part's factor (and, for
+    the second, in a last part >= 3); 4 (i_1 - 3 + 1/i_1) i_1 is summed as
+    4 (i_1^2 - 3 i_1 + 1).
+    """
     if n < 3:
         raise ValueError(f"needs n >= 3, got {n}")
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        if I[0] >= 4:
-            _emit(acc, (1,) + I, 2 * (I[0] - 3) * w((1,) + I))
-    for I in iter_compositions(n + 1, 2):
-        if I[0] >= 3 and I[-1] >= 3:
-            _emit(acc, I, 2 * (2 * I[0] - 5) * w(I))
-    for I in iter_compositions(n - 1, 2):
-        if I[0] >= 3:
-            _emit(acc, I + (2,), 4 * (I[0] - 3 + Fraction(1, I[0])) * w(I))
+
+    def total(m: int, first, last_min: int = 1) -> Acc:
+        return _product_sum(m, lambda s, p: (0 if s + p == m and p < last_min
+                                             else first(p) if s == 0 else p - 1))
+    acc = total(n + 1, lambda p: 2 * (2 * p - 5) * p if p >= 3 else 0, 3)
+    _add(acc, total(n, lambda p: 2 * (p - 3) * (p - 1) if p >= 4 else 0), (1,))
+    _add(acc, total(n - 1, lambda p: 4 * (p * p - 3 * p + 1) if p >= 3 else 0), (2,))
     return _finish(acc, n + 1)
 
 
@@ -385,26 +447,39 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
     """X of the lollipop K_a^l twinned at the path vertex at distance h from the leaf.
 
     Valid for a >= 1, l >= 2 and 1 <= h <= l-1; the expansion does not hold
-    at h = 0 (that twin is a clique-path-clique chain instead).
+    at h = 0 (that twin is a clique-path-clique chain instead).  The term
+    ((t3 - 1)/t3) w_K with t3 = theta_K(h+3) weighs k - 2 for the part k read
+    right after the one reaching h + 2, since t3 = k - 1 there.
     """
     if a < 1 or l < 2 or not 1 <= h <= l - 1:
         raise ValueError(f"needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
     n = a + l + 1
-    acc: Acc = {}
-    for K in iter_compositions(n, 1):
-        t = theta(K, h)
-        if K[-1] >= a and t >= 3:
-            _emit(acc, K, 2 * w(K))
-        if (t <= 1 and K[-1] >= 3 and len(K) >= 2
-                and (K[-1] + K[-2] >= n - h + 1 or K[-2] >= a)):
-            _emit(acc, K, (K[-1] - 2) * _w_drop_last(K))
-        if K[-1] >= a and t == 2:
-            t3 = theta(K, h + 3)
-            if t3 >= 2:
-                _emit(acc, K, Fraction(t3 - 1, t3) * w(K))
-    for I in iter_compositions(n - 1, 1):
-        if I[-1] >= a and theta(I, h) >= 3:
-            _emit(acc, (1,) + I, w(I))
+
+    def big_last(state, s, p):  # i_{-1} >= a; theta_K(h) >= 3 or theta_K(h) == 2
+        if s + p == n and p < a:
+            return ()
+        if state == "next":
+            return (("w", p - 2),) if p >= 3 else ()
+        coeff = _wf(s, p)
+        if s < h <= s + p:
+            t = s + p - h
+            if t >= 3:
+                return (("w", 2 * coeff),)
+            return (("next", coeff),) if t == 2 else ()
+        return (("w", coeff),)
+
+    def low_theta(state, s, p):  # theta_K(h) <= 1; state: K[-2] >= a, K[-2] started < h
+        if s < h <= s + p and s + p - h > 1:
+            return ()
+        if s + p < n:
+            return (((p >= a, s <= h - 1), _wf(s, p)),)
+        return ((None, p - 2),) if s and p >= 3 and any(state) else ()
+
+    def shifted(s, p):
+        return 0 if (s + p == n - 1 and p < a) or s < h <= s + p < h + 3 else _wf(s, p)
+    acc = composition_sum(n, big_last, "w")
+    _add(acc, composition_sum(n, low_theta, (False, False)))
+    _add(acc, _product_sum(n - 1, shifted), (1,))
     return _finish(acc, n, 2 * factorial(a - 1))
 
 
@@ -412,55 +487,65 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
 # kayak paddles and infinity graphs
 # ----------------------------------------------------------------------
 
-def _kayak_pairs(n: int, a: int, l: int):
-    """Splits IJ of weight-relevant compositions with a+l-j1+1 <= |I| <= a-1."""
-    for K in iter_compositions(n, 2):
-        size = 0
-        for cut in range(1, len(K)):
-            size += K[cut - 1]
-            if size > a - 1:
-                break
-            j1 = K[cut]
-            if size >= a + l - j1 + 1:
-                yield K, K[:cut], K[cut:], size
-
-
 def x_kayak(a: int, b: int, l: int) -> ESymFunc:
     """X of the kayak paddle: cycles of sizes a and b joined by a path of length l.
 
     Four sums over single compositions keyed on the first part, plus two sums
-    over concatenation splits (I, J); every term carries the base weight
-    g(K) = theta_K(a+l) w_K.
+    over concatenation splits K = IJ with a + l - j_1 + 1 <= |I| <= a - 1;
+    every term carries the base weight g(K) = theta_K(a+l) w_K.  The split
+    is unique when it exists: J starts with the part straddling a + l.  Its
+    fractional weights are summed multiplied by i_1 (j_1 - 1), the factors
+    of w they divide.
     """
     if a < 3 or b < 3 or l < 0:
         raise ValueError(f"needs a, b >= 3 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
-    acc: Acc = {}
-    for K in iter_compositions(n, 1):
-        base = theta(K, a + l) * w(K)
-        if base == 0:
-            continue
-        k1 = K[0]
-        if k1 == 1:
-            _emit(acc, K, theta_minus(K, a) * base)
-        elif theta(K, a) <= l and 2 <= k1 <= l + 1:
-            _emit(acc, K, theta_minus(K, k1 + a - 1) * base)
-        elif theta(K, a) <= l and l + 2 <= k1 <= l + a - 1:
-            _emit(acc, K, (theta_minus(K, a + l) + k1 - l - 1) * base)
-        elif k1 >= a + l:
-            _emit(acc, K, (a - 1) * base)
-    for K, I, J, size in _kayak_pairs(n, a, l):
-        base = theta(K, a + l) * w(K)
-        if base == 0:
-            continue
-        i1, j1 = I[0], J[0]
-        if i1 <= l + 1 or i1 == j1 or size >= a + i1 - j1:
-            _emit(acc, K,
-                  (a - 1 - size + Fraction(j1 - i1, j1 - 1)) * base)
+    x = a + l
+
+    # state: k_1 until theta_K(a+l) is settled, then 0; b2 and b3 below mean
+    # 2 <= k_1 <= l + 1 and l + 2 <= k_1 <= l + a - 1, which need theta_K(a) <= l
+    def single(k1, s, p):
+        coeff = _wf(s, p)
+        end = s + p
+        if s == 0:
+            k1 = p
+            if k1 >= x:
+                coeff *= a - 1
+        if s < a <= end:
+            if k1 == 1:
+                coeff *= a - s if end > a else 0  # theta_minus_K(a)
+            elif k1 < x and end - a > l:
+                return ()
+        y = k1 + a - 1
+        if 2 <= k1 <= l + 1 and s < y <= end:  # b2: theta_minus_K(k_1 + a - 1)
+            coeff *= y - s if end > y else 0
+        if not s < x <= end:
+            return ((k1, coeff),)
+        coeff *= end - x
+        if l + 2 <= k1 < x:  # b3: theta_minus_K(a+l) + k_1 - l - 1
+            coeff *= (x - s if end > x else 0) + k1 - l - 1
+        return ((0, coeff),)
+
+    # state: i_1, its factor of w deferred, until J starts; then 0
+    def split(i1, s, p):
+        if p < 2:
+            return ()
+        end = s + p
+        if s == 0:
+            return ((p, 1),) if p < x else ()
+        if not i1 or not s < x <= end:
+            return ((i1, p - 1),)
+        if s > a - 1 or end <= x:
+            return ()
+        j1, rest = p, a - 1 - s
+        coeff = 0
+        if i1 <= l + 1 or i1 == j1 or s >= a + i1 - j1:
+            coeff += i1 * (rest * (j1 - 1) + j1 - i1)
         if i1 > j1:
-            ratio = Fraction(j1, i1) * Fraction(i1 - 1, j1 - 1)
-            _emit(acc, K,
-                  (i1 - j1 + (a - 1 - size) * (1 + ratio)) * base)
+            coeff += i1 * (i1 - j1) * (j1 - 1) + rest * (i1 * (j1 - 1) + j1 * (i1 - 1))
+        return ((0, coeff * (end - x)),)
+    acc = composition_sum(n, single, 0)
+    _add(acc, composition_sum(n, split, 0))
     return _finish(acc, n)
 
 
@@ -469,31 +554,38 @@ def x_infinity(a: int, b: int) -> ESymFunc:
 
     Keyed on the first part against theta_I(a) and the straddling part I(a);
     whole terms are skipped when theta_I(a) = 0 since the base weight
-    vanishes there (and only there can I(a) drop below 2).
+    vanishes there (and only there can I(a) drop below 2).  The state is i_1
+    until the straddling part is read, then 0; for 2 <= i_1 <= a - 1 the
+    factor i_1 of w waits for it, so that the fractional weights are summed
+    as integers.
     """
     if a < 3 or b < 3:
         raise ValueError(f"needs a, b >= 3, got {(a, b)}")
     n = a + b - 1
-    acc: Acc = {}
-    for I in iter_compositions(n, 1):
-        t = theta(I, a)
-        base = t * w(I)
-        if base == 0:
-            continue
-        i1 = I[0]
-        straddle = gap(I, a)
-        if i1 == 1:
-            _emit(acc, I, theta_minus(I, a) * base)
-        elif i1 >= a:
-            _emit(acc, I, (a - 1) * base)
-        elif i1 <= t or i1 == straddle:
-            coeff = theta_minus(I, a) - 1 + Fraction(straddle - i1, straddle - 1)
-            _emit(acc, I, coeff * base)
-        elif straddle + 1 <= i1:
-            ratio = Fraction(straddle, i1) * Fraction(i1 - 1, straddle - 1)
-            coeff = i1 - straddle + (theta_minus(I, a) - 1) * (1 + ratio)
-            _emit(acc, I, coeff * base)
-    return _finish(acc, n)
+
+    def step(i1, s, p):
+        end = s + p
+        if s == 0:
+            i1, coeff = p, (a - 1) * p if p >= a else 1
+        else:
+            coeff = p - 1
+            if not coeff:
+                return ()
+        if not s < a <= end:
+            return ((i1, coeff),)
+        t, tm = end - a, a - s
+        if i1 >= a:
+            coeff *= t
+        elif i1 == 1:
+            coeff *= tm * t
+        elif i1 <= t or i1 == p:
+            coeff = t * i1 * ((tm - 1) * (p - 1) + p - i1)
+        elif p + 1 <= i1:
+            coeff = t * (i1 * (i1 - p) * (p - 1) + (tm - 1) * (i1 * (p - 1) + p * (i1 - 1)))
+        else:
+            return ()
+        return ((0, coeff),)
+    return _finish(composition_sum(n, step, 0), n)
 
 
 # ----------------------------------------------------------------------

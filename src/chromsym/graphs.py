@@ -292,7 +292,10 @@ def twin(g: Graph, v: int) -> Graph:
     new = g.n_vertices
     added = {(v, new)} | {(u, new) for u in g.neighbors(v)}
     out = Graph(new + 1, g.edges | added)
-    assert out.edge_count == g.edge_count + g.degree(v) + 1
+    if out.edge_count != g.edge_count + g.degree(v) + 1:
+        raise AssertionError(
+            f"twin of vertex {v} has {out.edge_count} edges, expected "
+            f"{g.edge_count + g.degree(v) + 1}")
     return out
 
 

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_formulas
+from chromsym.families import FAMILIES
 from chromsym.formulas import (
     f123_check,
     x_cycle,
@@ -96,10 +98,15 @@ class TestKChains:
 
     def test_all_twos_is_path(self):
         assert x_kchain((2, 2, 2)) == x_path(4)
+        # order 31: C(60, 29) weak compositions, far past enumeration
+        assert x_kchain((2,) * 30) == x_path(31)
 
     def test_differential(self):
         assert x_kchain((3, 3)) == csf_bruteforce(k_chain((3, 3)))
         assert x_kchain((4, 2, 3)) == csf_bruteforce(k_chain((4, 2, 3)))
+        # ten triangles (30 edges) lie past the oracle's edge budget
+        f = x_kchain((3,) * 10)
+        assert f.is_integral() and f.is_e_positive()
 
     def test_part_below_two(self):
         with pytest.raises(ValueError):
@@ -146,6 +153,7 @@ class TestCliquePathClique:
         for a in (3, 4, 5):
             for l in (0, 1, 2):
                 assert x_kpk_b3(a, l) == x_kpk(a, 3, l)
+        assert x_kpk_b3(10, 18) == x_kpk(10, 3, 18)
 
     def test_b3_form_matches_cycle_form(self):
         assert x_kpk_b3(3, 1) == x_kpc(3, 1, 3)
@@ -176,6 +184,7 @@ class TestPkpKkp:
         for b in (2, 3, 4):
             for h in (0, 1, 2):
                 assert x_kkp(1, b, h) == x_lollipop(b, h)
+        assert x_kkp(1, 9, 21) == x_lollipop(9, 21)
 
 
 class TestKpcTadpole:
@@ -191,6 +200,7 @@ class TestKpcTadpole:
         for c in (3, 4, 5):
             for l in (0, 1, 2):
                 assert x_tadpole(c, l) == x_kpc(1, l, c)
+        assert x_tadpole(12, 18) == x_kpc(1, 18, 12)
 
 
 class TestKpkp:
@@ -205,6 +215,7 @@ class TestKpkp:
 
     def test_b3_matches_full(self):
         assert x_kpkp_b3(2, 1, 1) == x_kpkp(2, 1, 3, 1)
+        assert x_kpkp_b3(7, 9, 12) == x_kpkp(7, 9, 3, 12)
 
     def test_b3_trivial_clique_matches_pkp(self):
         assert x_kpkp_b3(1, 1, 1) == x_pkp(1, 3, 1)
@@ -257,6 +268,7 @@ class TestKayakInfinity:
     def test_zero_length_matches_infinity(self):
         assert x_kayak(3, 3, 0) == x_infinity(3, 3)
         assert x_kayak(4, 3, 0) == x_infinity(4, 3)
+        assert x_kayak(13, 18, 0) == x_infinity(13, 18)
 
     def test_differentials(self):
         assert x_kayak(3, 3, 1) == csf_bruteforce(kayak(3, 3, 1))
@@ -275,6 +287,15 @@ class TestKayakInfinity:
             x_kayak(2, 3, 0)
         with pytest.raises(ValueError):
             x_infinity(3, 2)
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_matches_enumerative_reference(tag):
+    # every tuple up to size 11, past the oracle's n <= 9 grid and edge budget
+    fam = FAMILIES[tag]
+    reference = getattr(reference_formulas, fam.evaluate.__name__)
+    for params in fam.grid(11):
+        assert fam.evaluate(**params) == reference(**params), params
 
 
 class TestHelperIdentity:
