@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .families import FAMILIES, build_graph, get_family, run_verification
+from .families import FAMILIES, Family, get_family, run_verification
 from .graphs import parse_edge_list
 from .oracle import DEFAULT_EDGE_BUDGET, EdgeBudgetError, csf_bruteforce
 from .symfunc import ESymFunc
@@ -43,10 +43,17 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated clique sizes (kchain only)")
 
 
-def _collect_params(args: argparse.Namespace) -> dict:
+def _family(tag: str) -> Family:
+    try:
+        return get_family(tag)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+
+
+def _collect_params(args: argparse.Namespace) -> tuple[Family, dict]:
     if not args.family:
         raise UsageError("--family is required")
-    fam = get_family(args.family)
+    fam = _family(args.family)
     params: dict = {}
     for flag in PARAM_FLAGS:
         value = getattr(args, flag)
@@ -66,7 +73,7 @@ def _collect_params(args: argparse.Namespace) -> dict:
     if missing:
         raise UsageError(
             f"family {fam.tag!r} needs --" + ", --".join(missing))
-    return params
+    return fam, params
 
 
 def _render(f: ESymFunc, fmt: str) -> str:
@@ -83,11 +90,17 @@ def _graph_input(args: argparse.Namespace):
         except OSError as exc:
             raise UsageError(f"cannot read {args.graph}: {exc}") from None
         return parse_edge_list(text)
-    return build_graph(args.family, _collect_params(args))
+    fam, params = _collect_params(args)
+    return fam.build_graph(**params)
+
+
+def _evaluate(args) -> ESymFunc:
+    fam, params = _collect_params(args)
+    return fam.evaluate(**params)
 
 
 def cmd_expand(args) -> int:
-    f = get_family(args.family).evaluate(**_collect_params(args))
+    f = _evaluate(args)
     print(_render(f, args.format))
     return EXIT_OK
 
@@ -103,7 +116,7 @@ def cmd_positivity(args) -> int:
     if args.graph is not None:
         f = csf_bruteforce(_graph_input(args), args.edge_budget)
     elif args.family is not None:
-        f = get_family(args.family).evaluate(**_collect_params(args))
+        f = _evaluate(args)
     else:
         raise UsageError("give --graph or --family")
     worst = f.min_coefficient()
@@ -122,7 +135,7 @@ def cmd_positivity(args) -> int:
 def cmd_verify(args) -> int:
     tags = sorted(FAMILIES) if args.family in (None, "all") else [args.family]
     for tag in tags:
-        get_family(tag)
+        _family(tag)
     failures = 0
     skips = 0
     total = 0
@@ -203,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, KeyError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeBudgetError as exc:

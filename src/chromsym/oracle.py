@@ -13,11 +13,19 @@ factored per connected component: within a component either
   counts (the terms of the sum grouped by the component partition they
   induce), preferred for dense pieces, or
 * a direct recursion over edge subsets with sign-reversing cancellation of
-  cycle edges, preferred for sparse pieces with many vertices.
+  cycle edges, preferred for sparse pieces with many vertices.  Its leaves
+  are keyed by the vector of component-size counts, which becomes a
+  partition once the recursion is done.
 
 Both routes compute the identical sum; the choice is a cost heuristic only.
 The recursion never touches composition statistics or any closed-form
 evaluator, which keeps this module an independent oracle for them.
+
+The integer p-coefficients go to the e-basis in one integer pass: the p-keys
+are walked in sorted order over a stack of prefix products, so keys sharing
+their first parts share those products, and each further part costs one
+product with the int coefficients of p_to_e(part).  One ESymFunc is built
+per component, from the summed ints.
 
 Also here: the triple-deletion identity checker, assemblies of X for
 conjoined graphs from the clique/cycle node-graph reductions, and the
@@ -32,7 +40,7 @@ from itertools import product
 from math import factorial
 
 from .graphs import Graph, Piece, conjoin, rooted_complete
-from .symfunc import ESymFunc, Scalar, e_term, one, p_to_e
+from .symfunc import ESymFunc, e_term, one, p_to_e
 
 DEFAULT_EDGE_BUDGET = 24
 
@@ -46,14 +54,6 @@ class EdgeBudgetError(Exception):
             f"{limit}; raise the limit explicitly to proceed")
         self.n_edges = n_edges
         self.limit = limit
-
-
-@lru_cache(maxsize=None)
-def _p_lambda(parts: tuple[int, ...]) -> ESymFunc:
-    out = one()
-    for k in parts:
-        out = out * p_to_e(k)
-    return out
 
 
 def _components(n: int, edges) -> list[list[int]]:
@@ -130,7 +130,7 @@ def _edge_subsets(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...],
     """
     parent = list(range(k))
     size = [1] * k
-    cnt = [0] * (k + 1)
+    cnt = [0] * (k + 1)  # cnt[s] = number of components of size s
     cnt[1] = k
     acc: dict[tuple[int, ...], int] = {}
 
@@ -141,11 +141,8 @@ def _edge_subsets(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...],
 
     def rec(i: int, sign: int):
         if i == len(edges):
-            key = []
-            for s in range(k, 0, -1):
-                key.extend([s] * cnt[s])
-            tk = tuple(key)
-            acc[tk] = acc.get(tk, 0) + sign
+            key = tuple(cnt)
+            acc[key] = acc.get(key, 0) + sign
             return
         u, v = edges[i]
         ru, rv = find(u), find(v)
@@ -170,7 +167,38 @@ def _edge_subsets(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...],
         parent[rv] = rv
 
     rec(0, 1)
-    return {key: c for key, c in acc.items() if c}
+    return {tuple(s for s in range(k, 0, -1) for _ in range(counts[s])): c
+            for counts, c in acc.items() if c}
+
+
+def _p_to_e_sum(coeffs: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Integer e-coefficients of sum c_lambda p_lambda over the given p-keys.
+
+    The keys are walked in sorted order over a stack of prefix products, so
+    keys that share their first parts share the products of those parts: each
+    part past the shared prefix costs one multiplication by p_to_e(part).
+    """
+    out: dict[tuple[int, ...], int] = {}
+    prefix: list[int] = []
+    stack: list[dict[tuple[int, ...], int]] = [{(): 1}]
+    for key in sorted(coeffs):
+        common = 0
+        while common < min(len(prefix), len(key)) and prefix[common] == key[common]:
+            common += 1
+        del prefix[common:], stack[common + 1:]
+        for part in key[common:]:
+            factor = [(k2, c2.numerator) for k2, c2 in p_to_e(part).terms.items()]
+            prod: dict[tuple[int, ...], int] = {}
+            for k1, c1 in stack[-1].items():
+                for k2, c2 in factor:
+                    nk = tuple(sorted(k1 + k2, reverse=True))
+                    prod[nk] = prod.get(nk, 0) + c1 * c2
+            prefix.append(part)
+            stack.append(prod)
+        c = coeffs[key]
+        for nk, v in stack[-1].items():
+            out[nk] = out.get(nk, 0) + c * v
+    return out
 
 
 def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
@@ -182,11 +210,7 @@ def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
     cost_dp = 3 ** k
     cost_es = 4 * (2 ** len(local))
     coeffs = _vertex_dp(k, local) if cost_dp <= cost_es else _edge_subsets(k, local)
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for key, c in coeffs.items():
-        for part, v in _p_lambda(key).terms.items():
-            terms[part] = terms.get(part, 0) + c * v
-    return ESymFunc(terms)
+    return ESymFunc(_p_to_e_sum(coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ expansions carry fractional coefficients mid-sum even though every final
 chromatic symmetric function has integer coefficients.
 
 Values are immutable once constructed; operations return new values.
-``p_to_e`` keeps one immutable expansion per degree in a ``functools.cache``.
+``p_to_e`` runs Newton's recurrence on plain int coefficients and keeps one
+immutable expansion per degree in a ``functools.cache``.
 """
 
 from __future__ import annotations
@@ -222,11 +223,14 @@ def p_to_e(k: int) -> ESymFunc:
 
     Uses the Newton recurrence
     p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i,
-    memoized; all coefficients are integers.
+    memoized; all coefficients are integers, summed as ints.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    acc = e_term((k,), (-1) ** (k - 1) * k)
+    acc: dict[Partition, int] = {(k,): (-1) ** (k - 1) * k}
     for i in range(1, k):
-        acc = acc + (-1) ** (k - 1 - i) * (e_term((k - i,)) * p_to_e(i))
-    return acc
+        sign = (-1) ** (k - 1 - i)
+        for key, c in p_to_e(i).terms.items():
+            nk = tuple(sorted(key + (k - i,), reverse=True))
+            acc[nk] = acc.get(nk, 0) + sign * c.numerator
+    return ESymFunc(acc)

@@ -109,6 +109,23 @@ class TestOracleCmd:
         assert code == 4
         assert err.startswith("internal error: RecursionError: ")
 
+    def test_internal_key_error_is_not_usage_error(self, capsys, monkeypatch):
+        # a KeyError raised inside the oracle is a fault, not a bad argument
+        from chromsym import oracle
+
+        def broken(coeffs):
+            raise KeyError((3, 2))
+
+        monkeypatch.setattr(oracle, "_p_to_e_sum", broken)
+        oracle.csf_bruteforce.cache_clear()
+        code, _, err = run(capsys, "oracle", "--family", "path", "--n", "5")
+        assert code == 4
+        assert err.startswith("internal error: KeyError: ")
+
+    def test_unknown_family_usage_error(self, capsys):
+        code, _, err = run(capsys, "oracle", "--family", "mystery", "--n", "4")
+        assert code == 2 and "unknown family" in err
+
 
 class TestPositivity:
     def test_counterexample_reported(self, capsys, tmp_path):
@@ -152,6 +169,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--family", "kpkp", "--max-n", "9")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_unknown_family_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--family", "mystery", "--max-n", "4")
+        assert code == 2 and "unknown family" in err
 
     def test_skips_reported_not_fatal(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "kchain",

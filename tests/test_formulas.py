@@ -46,6 +46,7 @@ from chromsym.graphs import (
     melting_lollipop,
     k_chain,
     pkp,
+    tadpole,
     tw_lollipop,
     tw_path,
 )
@@ -196,11 +197,17 @@ class TestKpcTadpole:
         assert x_kpc(2, 1, 4) == csf_bruteforce(kpc(2, 1, 4))
         assert x_tadpole(4, 2) == csf_bruteforce(kpc(1, 2, 4))
 
-    def test_tadpole_is_kpc_with_trivial_clique(self):
-        for c in (3, 4, 5):
-            for l in (0, 1, 2):
-                assert x_tadpole(c, l) == x_kpc(1, l, c)
-        assert x_tadpole(12, 18) == x_kpc(1, 18, 12)
+    def test_tadpole_matches_oracle(self):
+        for c in range(3, 14):
+            for l in range(14 - c):
+                assert x_tadpole(c, l) == csf_bruteforce(tadpole(c, l)), (c, l)
+        # order 30, past the oracle: the cycle-to-graph node reduction,
+        # (c-1) X(P_{c+l}) - sum_{i=1}^{c-2} X(C_{c-i}) X(P_{i+l})
+        c, l = 12, 18
+        want = (c - 1) * x_path(c + l)
+        for i in range(1, c - 1):
+            want = want - x_cycle(c - i) * x_path(i + l)
+        assert x_tadpole(c, l) == want
 
 
 class TestKpkp:

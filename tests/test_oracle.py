@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromsym.compositions import iter_compositions, rho
 from chromsym.graphs import (
     Graph,
     complete,
@@ -22,6 +23,7 @@ from chromsym.graphs import (
 )
 from chromsym.oracle import (
     EdgeBudgetError,
+    _p_to_e_sum,
     count_proper_colorings,
     csf_bruteforce,
     triple_deletion_check,
@@ -30,7 +32,7 @@ from chromsym.oracle import (
     x_via_cpg,
     x_via_kpg,
 )
-from chromsym.symfunc import e_term
+from chromsym.symfunc import ESymFunc, e_term, one, p_to_e
 
 
 def random_graph(rng: random.Random, max_n: int = 6) -> Graph:
@@ -92,6 +94,45 @@ class TestBruteForce:
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = sorted(e for e in pool if rng.random() < 0.6)
             assert _vertex_dp(n, edges) == _edge_subsets(n, edges)
+        # sparse pieces the oracle sends to the edge-subset recursion, where
+        # the count-vector leaf keys are expanded into partitions
+        for n in (10, 11, 12):
+            label = list(range(n))
+            rng.shuffle(label)
+            tree = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+            ring = [(label[v], label[(v + 1) % n]) for v in range(n)]
+            for edges in (tree, ring):
+                edges = sorted((min(e), max(e)) for e in edges)
+                assert _vertex_dp(n, edges) == _edge_subsets(n, edges)
+
+
+def partitions(n: int) -> list[tuple[int, ...]]:
+    return sorted({rho(c) for c in iter_compositions(n, 1)})
+
+
+def p_product(key: tuple[int, ...]) -> ESymFunc:
+    """p_lambda as a product of ESymFunc expansions, one p_to_e per part."""
+    out = one()
+    for part in key:
+        out = out * p_to_e(part)
+    return out
+
+
+class TestPToESum:
+    def test_single_key_matches_product_route(self):
+        for n in range(1, 11):
+            for key in partitions(n):
+                assert ESymFunc(_p_to_e_sum({key: 1})) == p_product(key), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_random_integer_combination(self, n, data):
+        coeffs = data.draw(st.dictionaries(st.sampled_from(partitions(n)),
+                                           st.integers(-10**6, 10**6), min_size=1))
+        want = ESymFunc({}, 0)
+        for key, c in coeffs.items():
+            want = want + c * p_product(key)
+        assert ESymFunc(_p_to_e_sum(coeffs)) == want
 
 
 class TestTripleDeletion:
