@@ -9,18 +9,13 @@ differential verification.
 from .compositions import (
     composition_sum,
     compositions_min2,
-    compositions_of,
-    concat,
     gap,
-    remove_part,
-    reverse,
     rho,
     sigma,
     sigma_minus,
     theta,
     theta_minus,
     w,
-    weak_compositions,
 )
 from .symfunc import ESymFunc, e_term, one, p_to_e, zero
 from .graphs import (
@@ -55,17 +50,9 @@ from .graphs import (
 from .oracle import (
     DEFAULT_EDGE_BUDGET,
     EdgeBudgetError,
-    count_proper_colorings,
     csf_bruteforce,
-    triple_deletion_check,
-    x_tw_cycle_rec,
-    x_tw_lollipop_rec,
-    x_tw_path_rec,
-    x_via_cpg,
-    x_via_kpg,
 )
 from .formulas import (
-    f123_check,
     x_cycle,
     x_infinity,
     x_kayak,

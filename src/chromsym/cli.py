@@ -124,9 +124,7 @@ def cmd_positivity(args) -> int:
         print("e-positive (zero function)")
         return EXIT_OK
     coeff, key = worst
-    coeff_text = str(coeff) if coeff.denominator == 1 else \
-        f"{coeff.numerator}/{coeff.denominator}"
-    where = f"min coeff {coeff_text} at e[{','.join(map(str, key))}]"
+    where = f"min coeff {coeff} at e[{','.join(map(str, key))}]"
     print(f"e-positive ({where})" if f.is_e_positive()
           else f"NOT e-positive ({where})")
     return EXIT_OK

@@ -22,13 +22,10 @@ for unrestricted concurrent use.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations_with_replacement
-from operator import sub
 from typing import Callable, Hashable, Iterable, Iterator
 
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
-WeakComposition = tuple[int, ...]
 
 # Remainders up to this size are finished from a table built once per call,
 # so only the prefixes of larger remainders go through the stack.
@@ -53,28 +50,9 @@ def iter_compositions(n: int, min_part: int) -> Iterator[Composition]:
                          for first in range(rest, min_part - 1, -1))
 
 
-def compositions_of(n: int) -> tuple[Composition, ...]:
-    """All compositions of n in lexicographic order (2^(n-1) of them for n >= 1)."""
-    return tuple(iter_compositions(n, 1))
-
-
 def compositions_min2(n: int) -> tuple[Composition, ...]:
     """Compositions of n with every part at least 2, lexicographic order."""
     return tuple(iter_compositions(n, 2))
-
-
-def iter_weak_compositions(total: int, length: int) -> Iterator[WeakComposition]:
-    """Weak compositions of `total` into `length` parts, lexicographic: the steps
-    between the length - 1 partial sums, drawn with repetition from 0..total."""
-    if total < 0 or length < 1:
-        raise ValueError(f"needs total >= 0 and length >= 1, got {(total, length)}")
-    for sums in combinations_with_replacement(range(total + 1), length - 1):
-        yield tuple(map(sub, sums + (total,), (0,) + sums))
-
-
-def weak_compositions(total: int, length: int) -> tuple[WeakComposition, ...]:
-    """All length-`length` sequences of nonnegative integers summing to `total`."""
-    return tuple(iter_weak_compositions(total, length))
 
 
 def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]],
@@ -188,20 +166,3 @@ def gap(I: Composition, a: int) -> int:
 def rho(I: Composition) -> Partition:
     """The partition with the parts of I, sorted weakly decreasing."""
     return tuple(sorted(I, reverse=True))
-
-
-def reverse(I: Composition) -> Composition:
-    return I[::-1]
-
-
-def remove_part(I: Composition, k: int) -> Composition:
-    """Drop the k-th part, 1-based; negative k counts from the end (i_{-k})."""
-    length = len(I)
-    if not 1 <= abs(k) <= length:
-        raise ValueError(f"part index {k} out of range for length {length}")
-    idx = k - 1 if k > 0 else length + k
-    return I[:idx] + I[idx + 1:]
-
-
-def concat(I: Composition, J: Composition) -> Composition:
-    return I + J

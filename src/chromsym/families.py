@@ -202,11 +202,6 @@ def get_family(tag: str) -> Family:
     return FAMILIES[tag]
 
 
-def build_graph(tag: str, params: Params) -> Graph:
-    fam = get_family(tag)
-    return fam.build_graph(**params)
-
-
 @dataclass(frozen=True)
 class VerifyRecord:
     tag: str

@@ -46,9 +46,9 @@ from .compositions import (
     theta_minus,
     w,
 )
-from .symfunc import ESymFunc, Scalar, e_term
+from .symfunc import ESymFunc
 
-Acc = dict[tuple[int, ...], Scalar]
+Acc = dict[tuple[int, ...], int]
 
 
 def _wf(s: int, p: int) -> int:
@@ -78,23 +78,6 @@ def _finish(acc: Acc, degree: int, prefactor: int = 1,
         if require_positive and c < 0:
             raise AssertionError(f"negative coefficient {c} at e{list(key)}")
     return ESymFunc(terms, degree)
-
-
-def _w_drop_last(K: Composition) -> int:
-    """Weight of K without its last part; 1 when that leaves nothing."""
-    return w(K[:-1]) if len(K) > 1 else 1
-
-
-def _f1(K: Composition, b: int) -> int:
-    return (b - 1) * w(K)
-
-
-def _f2(K: Composition, b: int) -> int:
-    return (b - 2) * K[-1] * _w_drop_last(K)
-
-
-def _f3(K: Composition, b: int) -> int:
-    return (K[-1] - b + 1) * _w_drop_last(K)
 
 
 # ----------------------------------------------------------------------
@@ -586,18 +569,3 @@ def x_infinity(a: int, b: int) -> ESymFunc:
             return ()
         return ((0, coeff),)
     return _finish(composition_sum(n, step, 0), n)
-
-
-# ----------------------------------------------------------------------
-# helper-weight identity
-# ----------------------------------------------------------------------
-
-def f123_check(a: int, I: Composition) -> bool:
-    """Check f1(I,a) - f2(I,a) - f3(I,a) == (a-1) e_n for one-part I, else 0."""
-    if a < 2 or not I:
-        raise ValueError("needs a >= 2 and a nonempty composition")
-    n = sum(I)
-    coeff = _f1(I, a) - _f2(I, a) - _f3(I, a)
-    actual = ESymFunc({rho(I): coeff})
-    expected = e_term((n,), a - 1) if len(I) == 1 else ESymFunc({}, 0)
-    return actual == expected

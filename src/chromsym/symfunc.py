@@ -1,12 +1,12 @@
 """Sparse exact symmetric functions in the elementary basis.
 
 An :class:`ESymFunc` is a homogeneous symmetric function stored as a map from
-partitions (weakly decreasing tuples) to exact rational coefficients.  The
-product rule is multiset union of parts, since e_lambda * e_mu = e_{lambda mu}.
+partitions (weakly decreasing tuples) to exact coefficients.  The product rule
+is multiset union of parts, since e_lambda * e_mu = e_{lambda mu}.
 
-Coefficients are :class:`fractions.Fraction` throughout: several closed-form
-expansions carry fractional coefficients mid-sum even though every final
-chromatic symmetric function has integer coefficients.
+Coefficients are kept as the exact numbers given: ``int`` for everything the
+package computes, or :class:`fractions.Fraction` where a caller passes one.
+Anything else, such as a float, raises :class:`TypeError`.
 
 Values are immutable once constructed; operations return new values.
 ``p_to_e`` runs Newton's recurrence on plain int coefficients and keeps one
@@ -32,10 +32,11 @@ class ESymFunc:
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None,
                  degree: int | None = None):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, Scalar] = {}
         inferred: int | None = None
-        for parts, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+        for parts, c in (terms or {}).items():
+            if not isinstance(c, Scalar):
+                raise TypeError(f"coefficient {c!r} is not an exact number")
             if c == 0:
                 continue
             key = rho(parts)
@@ -47,7 +48,7 @@ class ESymFunc:
             elif size != inferred:
                 raise ValueError(
                     f"inhomogeneous terms: degree {size} vs {inferred}")
-            clean[key] = clean.get(key, Fraction(0)) + c
+            clean[key] = clean.get(key, 0) + c
         clean = {k: v for k, v in clean.items() if v != 0}
         if not clean:
             self_degree = 0  # the zero function sits at degree 0 by convention
@@ -82,7 +83,7 @@ class ESymFunc:
                 f"cannot add degree {self.degree} to degree {other.degree}")
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
+            merged[key] = merged.get(key, 0) + c
         return ESymFunc(merged, self.degree)
 
     def __neg__(self) -> "ESymFunc":
@@ -93,13 +94,13 @@ class ESymFunc:
 
     def __mul__(self, other):
         if isinstance(other, ESymFunc):
-            prod: dict[tuple[int, ...], Fraction] = {}
+            prod: dict[tuple[int, ...], Scalar] = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
                     key = tuple(sorted(k1 + k2, reverse=True))
-                    prod[key] = prod.get(key, Fraction(0)) + c1 * c2
+                    prod[key] = prod.get(key, 0) + c1 * c2
             return ESymFunc(prod, self.degree + other.degree)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
             if other == 0:
                 return ESymFunc({}, 0)
             return ESymFunc({k: c * other for k, c in self.terms.items()},
@@ -120,14 +121,14 @@ class ESymFunc:
     # queries
     # ------------------------------------------------------------------
 
-    def coefficient(self, parts: Iterable[int]) -> Fraction:
+    def coefficient(self, parts: Iterable[int]) -> Scalar:
         """Coefficient of e_lambda for the partition with the given parts (0 if absent)."""
-        return self.terms.get(rho(tuple(parts)), Fraction(0))
+        return self.terms.get(rho(tuple(parts)), 0)
 
     def is_e_positive(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
 
-    def min_coefficient(self) -> tuple[Fraction, Partition] | None:
+    def min_coefficient(self) -> tuple[Scalar, Partition] | None:
         """Smallest stored coefficient and its partition; None for the zero function."""
         if self.is_zero:
             return None
@@ -137,16 +138,16 @@ class ESymFunc:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.terms.values())
 
-    def evaluate_at(self, xs: Sequence[Scalar]) -> Fraction:
+    def evaluate_at(self, xs: Sequence[Scalar]) -> Scalar:
         """Substitute the finite variable list (all later variables 0)."""
-        vals = [Fraction(x) for x in xs]
-        top = min(self.degree, len(vals))
-        esp = [Fraction(0)] * (self.degree + 1)
-        esp[0] = Fraction(1)
-        for x in vals:
+        if not all(isinstance(x, Scalar) for x in xs):
+            raise TypeError(f"values {xs!r} are not all exact numbers")
+        top = min(self.degree, len(xs))
+        esp = [1] + [0] * self.degree
+        for x in xs:
             for j in range(top, 0, -1):
                 esp[j] += x * esp[j - 1]
-        total = Fraction(0)
+        total = 0
         for key, c in self.terms.items():
             term = c
             for part in key:
@@ -160,7 +161,7 @@ class ESymFunc:
     # serialization
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Partition, Scalar]]:
         """Terms sorted by partition, descending lexicographic."""
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
@@ -170,9 +171,7 @@ class ESymFunc:
             return "0"
         pieces: list[str] = []
         for key, c in self.sorted_terms():
-            mag = c if c > 0 else -c
-            coeff = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = f"{coeff}*e[{','.join(map(str, key))}]"
+            body = f"{abs(c)}*e[{','.join(map(str, key))}]"
             if not pieces:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -188,11 +187,11 @@ class ESymFunc:
 
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "ESymFunc":
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for rec in records:
             key = tuple(int(p) for p in rec["partition"])
             c = Fraction(int(rec["num"]), int(rec["den"]))
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[key] = terms.get(key, 0) + c
         return ESymFunc(terms)
 
     @staticmethod
@@ -214,7 +213,7 @@ def one() -> ESymFunc:
 
 def e_term(parts: Iterable[int], coeff: Scalar = 1) -> ESymFunc:
     """The single term coeff * e_{rho(parts)}; parts may come in any order."""
-    return ESymFunc({tuple(parts): Fraction(coeff)})
+    return ESymFunc({tuple(parts): coeff})
 
 
 @cache
@@ -232,5 +231,5 @@ def p_to_e(k: int) -> ESymFunc:
         sign = (-1) ** (k - 1 - i)
         for key, c in p_to_e(i).terms.items():
             nk = tuple(sorted(key + (k - i,), reverse=True))
-            acc[nk] = acc.get(nk, 0) + sign * c.numerator
+            acc[nk] = acc.get(nk, 0) + sign * c
     return ESymFunc(acc)

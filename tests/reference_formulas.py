@@ -7,24 +7,29 @@ evaluates the same sums with the prefix-sum kernel
 :func:`chromsym.compositions.composition_sum`; the tests compare the two.
 Keep this module as it is: it is the slow, obvious form that the fast one
 is checked against, practical up to order 14 or so.
+
+Also here, for the identity tests: the weak-composition enumerator the clique
+chain needs, part removal, and the helper-weight identity f1 - f2 - f3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
+from operator import sub
+from typing import Iterator
 
 from chromsym.compositions import (
     Composition,
     gap,
     iter_compositions,
-    iter_weak_compositions,
     rho,
     theta,
     theta_minus,
     w,
 )
-from chromsym.symfunc import ESymFunc, Scalar
+from chromsym.symfunc import ESymFunc, Scalar, e_term
 
 Acc = dict[tuple[int, ...], Scalar]
 
@@ -61,6 +66,24 @@ def _f2(K: Composition, b: int) -> int:
 
 def _f3(K: Composition, b: int) -> int:
     return (K[-1] - b + 1) * _w_drop_last(K)
+
+
+def iter_weak_compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions of `total` into `length` parts, lexicographic: the steps
+    between the length - 1 partial sums, drawn with repetition from 0..total."""
+    if total < 0 or length < 1:
+        raise ValueError(f"needs total >= 0 and length >= 1, got {(total, length)}")
+    for sums in combinations_with_replacement(range(total + 1), length - 1):
+        yield tuple(map(sub, sums + (total,), (0,) + sums))
+
+
+def remove_part(I: Composition, k: int) -> Composition:
+    """Drop the k-th part, 1-based; negative k counts from the end (i_{-k})."""
+    length = len(I)
+    if not 1 <= abs(k) <= length:
+        raise ValueError(f"part index {k} out of range for length {length}")
+    idx = k - 1 if k > 0 else length + k
+    return I[:idx] + I[idx + 1:]
 
 
 # ----------------------------------------------------------------------
@@ -488,3 +511,18 @@ def x_infinity(a: int, b: int) -> ESymFunc:
             coeff = i1 - straddle + (theta_minus(I, a) - 1) * (1 + ratio)
             _emit(acc, I, coeff * base)
     return _finish(acc, n)
+
+
+# ----------------------------------------------------------------------
+# helper-weight identity
+# ----------------------------------------------------------------------
+
+def f123_check(a: int, I: Composition) -> bool:
+    """Check f1(I,a) - f2(I,a) - f3(I,a) == (a-1) e_n for one-part I, else 0."""
+    if a < 2 or not I:
+        raise ValueError("needs a >= 2 and a nonempty composition")
+    n = sum(I)
+    coeff = _f1(I, a) - _f2(I, a) - _f3(I, a)
+    actual = ESymFunc({rho(I): coeff})
+    expected = e_term((n,), a - 1) if len(I) == 1 else ESymFunc({}, 0)
+    return actual == expected

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import reference_formulas
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
-    f123_check,
     x_cycle,
     x_infinity,
     x_kayak,
@@ -50,8 +49,10 @@ from chromsym.graphs import (
     tw_lollipop,
     tw_path,
 )
-from chromsym.oracle import csf_bruteforce, x_tw_lollipop_rec, x_tw_path_rec
+from chromsym.oracle import csf_bruteforce
 from chromsym.symfunc import e_term
+from reference_formulas import f123_check
+from reference_oracle import x_tw_lollipop_rec, x_tw_path_rec
 
 nonempty_comps = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple)
 
@@ -219,6 +220,9 @@ class TestKpkp:
 
     def test_differential(self):
         assert x_kpkp(3, 1, 3, 1) == csf_bruteforce(kpkp(3, 1, 3, 1))
+        f = x_kpkp(3, 2, 4, 3)
+        assert f == csf_bruteforce(kpkp(3, 2, 4, 3))
+        assert all(type(c) is int for c in f.terms.values())
 
     def test_b3_matches_full(self):
         assert x_kpkp_b3(2, 1, 1) == x_kpkp(2, 1, 3, 1)

@@ -1,12 +1,15 @@
 """Brute-force oracle: frozen values, structural invariants, assemblies."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromsym import oracle
 from chromsym.compositions import iter_compositions, rho
 from chromsym.graphs import (
     Graph,
@@ -24,15 +27,17 @@ from chromsym.graphs import (
 from chromsym.oracle import (
     EdgeBudgetError,
     _p_to_e_sum,
-    count_proper_colorings,
     csf_bruteforce,
+)
+from chromsym.symfunc import ESymFunc, e_term, one, p_to_e
+from reference_oracle import (
+    count_proper_colorings,
     triple_deletion_check,
     x_tw_cycle_rec,
     x_tw_path_rec,
     x_via_cpg,
     x_via_kpg,
 )
-from chromsym.symfunc import ESymFunc, e_term, one, p_to_e
 
 
 def random_graph(rng: random.Random, max_n: int = 6) -> Graph:
@@ -68,6 +73,8 @@ class TestBruteForce:
         rng = random.Random(2)
         for _ in range(25):
             assert csf_bruteforce(random_graph(rng)).is_integral()
+        x = csf_bruteforce(kayak(3, 4, 2))
+        assert all(type(c) is int for c in x.terms.values())
 
     def test_multiplicative_over_disjoint_union(self):
         rng = random.Random(3)
@@ -83,6 +90,34 @@ class TestBruteForce:
             x = csf_bruteforce(g)
             for m in range(1, 5):
                 assert x.evaluate_at([1] * m) == count_proper_colorings(g, m)
+
+    def test_cache_is_bounded(self):
+        pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        graphs = [Graph(5, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
+                  for mask in range(1 << len(pairs))] + [Graph(6, frozenset())]
+        assert len(set(graphs)) == 1025
+        for g in graphs:
+            csf_bruteforce(g)
+        assert csf_bruteforce.cache_info().currsize <= 1024
+
+    def test_imports_no_closed_form_machinery(self):
+        # The oracle is trusted because it shares nothing with the closed
+        # forms: any import of it, at module level or inside a function,
+        # may reach only the graphs and symfunc modules of the package.
+        found = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[1] for alias in node.names
+                          if alias.name.startswith("chromsym.")}
+            elif isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if not node.level:
+                    if parts[0] != "chromsym":
+                        continue
+                    parts = parts[1:]
+                found |= {parts[0]} if parts and parts[0] else {
+                    alias.name for alias in node.names}
+        assert found == {"graphs", "symfunc"}, found
 
     def test_both_routes_agree(self):
         # same sum computed by the vertex DP and the edge-subset recursion

@@ -11,9 +11,9 @@ from chromsym.symfunc import ESymFunc, e_term, one, p_to_e, zero
 
 def func_of_degree(n: int):
     """Strategy for random homogeneous functions of degree n with small coefficients."""
-    from chromsym.compositions import compositions_of
+    from chromsym.compositions import iter_compositions
 
-    keys = list({tuple(sorted(c, reverse=True)) for c in compositions_of(n)})
+    keys = list({tuple(sorted(c, reverse=True)) for c in iter_compositions(n, 1)})
     return st.dictionaries(
         st.sampled_from(keys),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -42,6 +42,8 @@ class TestConstruction:
     def test_bad_parts(self):
         with pytest.raises(ValueError):
             ESymFunc({(0, 2): 1})
+        with pytest.raises(TypeError):
+            ESymFunc({(2,): 0.5})
 
 
 class TestRingOps:
@@ -108,6 +110,7 @@ class TestPowerSums:
     def test_integral_coefficients(self):
         for k in range(1, 10):
             assert p_to_e(k).is_integral()
+        assert all(type(c) is int for c in p_to_e(12).terms.values())
 
     @given(st.integers(1, 9),
            st.lists(st.integers(-3, 5), min_size=0, max_size=5))
@@ -119,6 +122,9 @@ class TestPowerSums:
 class TestEvaluateAt:
     def test_e2_at_123(self):
         assert e_term((2,)).evaluate_at((1, 2, 3)) == 11
+        assert e_term((2,)).evaluate_at((Fraction(1, 2), 2)) == 1
+        with pytest.raises(TypeError):
+            e_term((2,)).evaluate_at((0.5, 2))
 
     def test_too_few_variables(self):
         assert e_term((4,)).evaluate_at((1, 2, 3)) == 0
