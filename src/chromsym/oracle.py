@@ -5,21 +5,20 @@ inclusion-exclusion identity
 
     X_G = sum over S subseteq E of (-1)^|S| p_{lambda(S)},
 
-where lambda(S) lists the component sizes of (V, S), and converts the result
-to the e-basis through Newton's identities.  The sum is evaluated exactly but
-factored per connected component: within a component either
+where lambda(S) lists the component sizes of (V, S) (Stanley 1995, Thm 2.5),
+and converts the result to the e-basis through Newton's identities.  The sum
+is evaluated exactly, per connected component, by one route: grouping the
+edge subsets by the connected blocks they span gives
 
-* a vertex-subset dynamic program over signed connected-spanning-subgraph
-  counts (the terms of the sum grouped by the component partition they
-  induce), preferred for dense pieces, or
-* a direct recursion over edge subsets with sign-reversing cancellation of
-  cycle edges, preferred for sparse pieces with many vertices.  Its leaves
-  are keyed by the vector of component-size counts, which becomes a
-  partition once the recursion is done.
+    X_G = sum over partitions of V into connected blocks B of
+          prod c(B) p_|B|,
 
-Both routes compute the identical sum; the choice is a cost heuristic only.
-The recursion never touches composition statistics or any closed-form
-evaluator, which keeps this module an independent oracle for them.
+where c(B) is the signed count of the connected spanning subgraphs of G[B].
+The partitions are walked top down, memoized on the set of vertices left, and
+c(B) comes from peeling pendant vertices and a memoized sum over the
+independent sets of the core that remains.  Nothing here touches composition
+statistics or any closed-form evaluator, which keeps this module an
+independent oracle for them.
 
 The integer p-coefficients go to the e-basis in one integer pass: the p-keys
 are walked in sorted order over a stack of prefix products, so keys sharing
@@ -68,100 +67,100 @@ def _components(n: int, edges) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def _vertex_dp(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """p-basis coefficients for one component via the component-partition DP."""
-    masks = 1 << k
-    edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-    # edgeless[m] is true when the induced subgraph on m has no edge
-    edgeless = bytearray([1]) * masks
-    for em in edge_masks:
-        rest = ((masks - 1) ^ em)
-        sub = rest
-        while True:
-            edgeless[sub | em] = 0
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    # signed count of connected spanning subgraphs per vertex subset
-    conn: dict[int, int] = {}
-    for mask in range(1, masks):
-        v0 = mask & -mask
-        acc = 0
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & v0 and edgeless[mask ^ sub]:
-                acc += conn.get(sub, 0)
-            sub = (sub - 1) & mask
-        val = (1 if edgeless[mask] else 0) - acc
-        if val:
-            conn[mask] = val
-    # assemble set partitions, tracking component-size multisets
-    table: list[dict[tuple[int, ...], int]] = [dict() for _ in range(masks)]
-    table[0][()] = 1
-    for mask in range(1, masks):
-        v0 = mask & -mask
-        here = table[mask]
-        sub = mask
-        while sub:
-            if sub & v0:
-                c = conn.get(sub)
-                if c:
-                    pc = sub.bit_count()
-                    for key, coef in table[mask ^ sub].items():
-                        nk = tuple(sorted(key + (pc,), reverse=True))
-                        here[nk] = here.get(nk, 0) + c * coef
-            sub = (sub - 1) & mask
-    return table[masks - 1]
+def _p_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+    """p-coefficients of the graph on vertices 0..k-1: the sum over its
+    partitions into connected blocks B of prod c(B) p_|B|, taken top down."""
+    adj = [0] * k
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    cores: dict[int, int] = {}
+    memo: dict[int, dict[tuple[int, ...], int]] = {}
 
+    def connected(mask: int) -> bool:
+        seen = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & mask & ~seen
+            seen |= new
+            todo = (todo ^ low) | new
+        return seen == mask
 
-def _edge_subsets(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """p-basis coefficients for one component by direct subset recursion.
+    def signed_count(block: int) -> int:
+        """c(block) for a connected block, by pendant peeling and its core."""
+        # a pendant edge lies in every connected spanning subgraph, so
+        # removing its leaf flips the sign and keeps the count
+        deg = [(a & block).bit_count() for a in adj]
+        leaves = [u for u in range(k) if block >> u & 1 and deg[u] == 1]
+        sign = 1
+        while leaves:
+            u = leaves.pop()
+            if deg[u] != 1:
+                continue  # the last vertex of a peeled-away tree
+            block ^= 1 << u
+            sign = -sign
+            w = (adj[u] & block).bit_length() - 1
+            deg[w] -= 1
+            if deg[w] == 1:
+                leaves.append(w)
+        if block & (block - 1) == 0:
+            return sign
+        if block not in cores:
+            # The signed sum over all edge subsets of the core is 0.  Grouped
+            # by the component of the lowest vertex, it gives c(core) = -sum
+            # of c(core - I) over the nonempty independent sets I avoiding
+            # that vertex with core - I connected: other edges cancel.
+            total = 0
+            stack = [(0, block & (block - 1))]
+            while stack:
+                chosen, free = stack.pop()
+                if not free:
+                    if chosen and connected(block ^ chosen):
+                        total += signed_count(block ^ chosen)
+                    continue
+                low = free & -free
+                stack.append((chosen, free ^ low))
+                stack.append((chosen | low, free & ~low & ~adj[low.bit_length() - 1]))
+            cores[block] = -total
+        return sign * cores[block]
 
-    An edge joining two vertices already connected by the current subset is
-    skipped entirely: including it flips the sign without changing the
-    component sizes, so the two branches cancel exactly.
-    """
-    parent = list(range(k))
-    size = [1] * k
-    cnt = [0] * (k + 1)  # cnt[s] = number of components of size s
-    cnt[1] = k
-    acc: dict[tuple[int, ...], int] = {}
+    def blocks(rest: int):
+        """Yield (block, edges inside, edges touching) for each connected block
+        in rest holding its lowest vertex, once: every boundary vertex is taken
+        or banned, and banning runs first, so the lowest vertex alone is first."""
+        v = rest & -rest
+        stack = [(v, 0, 0, adj[v.bit_length() - 1] & rest, 0)]
+        while stack:
+            block, inner, touching, frontier, banned = stack.pop()
+            if not frontier:
+                yield block, inner, touching
+                continue
+            low = frontier & -frontier
+            grown = block | low
+            near = adj[low.bit_length() - 1]
+            stack.append((grown, inner + (near & block).bit_count(),
+                          touching + (near & (block | banned)).bit_count(),
+                          (frontier | near & rest) & ~grown & ~banned, banned))
+            stack.append((block, inner, touching + (near & block).bit_count(),
+                          frontier ^ low, banned | low))
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
+    def rec(rest: int, n_edges: int) -> dict[tuple[int, ...], int]:
+        if not n_edges:
+            return {(1,) * rest.bit_count(): 1}
+        if rest in memo:
+            return memo[rest]
+        out: dict[tuple[int, ...], int] = {}
+        for block, inner, touching in blocks(rest):
+            size = block.bit_count()
+            # a tree peels down to one vertex, flipping the sign per edge
+            c = (-1) ** inner if inner == size - 1 else signed_count(block)
+            for key, coef in rec(rest ^ block, n_edges - touching).items():
+                nk = tuple(sorted(key + (size,), reverse=True))
+                out[nk] = out.get(nk, 0) + c * coef
+        memo[rest] = out
+        return out
 
-    def rec(i: int, sign: int):
-        if i == len(edges):
-            key = tuple(cnt)
-            acc[key] = acc.get(key, 0) + sign
-            return
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            # exclude and include give equal partitions with opposite signs,
-            # for every completion: the whole subtree sums to zero
-            return
-        rec(i + 1, sign)
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        s1, s2 = size[ru], size[rv]
-        parent[rv] = ru
-        size[ru] = s1 + s2
-        cnt[s1] -= 1
-        cnt[s2] -= 1
-        cnt[s1 + s2] += 1
-        rec(i + 1, -sign)
-        cnt[s1 + s2] -= 1
-        cnt[s2] += 1
-        cnt[s1] += 1
-        size[ru] = s1
-        parent[rv] = rv
-
-    rec(0, 1)
-    return {tuple(s for s in range(k, 0, -1) for _ in range(counts[s])): c
-            for counts, c in acc.items() if c}
+    return rec((1 << k) - 1, len(edges))
 
 
 def _p_to_e_sum(coeffs: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
@@ -200,10 +199,7 @@ def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
         return e_term((1,))
     index = {v: i for i, v in enumerate(verts)}
     local = [(index[u], index[v]) for u, v in edges]
-    cost_dp = 3 ** k
-    cost_es = 4 * (2 ** len(local))
-    coeffs = _vertex_dp(k, local) if cost_dp <= cost_es else _edge_subsets(k, local)
-    return ESymFunc(_p_to_e_sum(coeffs))
+    return ESymFunc(_p_to_e_sum(_p_coefficients(k, local)))
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep

@@ -8,7 +8,8 @@ Coefficients are kept as the exact numbers given: ``int`` for everything the
 package computes, or :class:`fractions.Fraction` where a caller passes one.
 Anything else, such as a float, raises :class:`TypeError`.
 
-Values are immutable once constructed; operations return new values.
+Values are immutable once constructed (``terms`` is a read-only mapping, so
+cached values cannot be altered); operations return new values.
 ``p_to_e`` runs Newton's recurrence on plain int coefficients and keeps one
 immutable expansion per degree in a ``functools.cache``.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Partition, rho
@@ -57,7 +59,7 @@ class ESymFunc:
             if degree is not None and degree != self_degree:
                 raise ValueError(
                     f"declared degree {degree} != term degree {self_degree}")
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "degree", self_degree)
 
     def __setattr__(self, *_):
@@ -191,7 +193,7 @@ class ESymFunc:
         for rec in records:
             key = tuple(int(p) for p in rec["partition"])
             c = Fraction(int(rec["num"]), int(rec["den"]))
-            terms[key] = terms.get(key, 0) + c
+            terms[key] = terms.get(key, 0) + (c.numerator if c.denominator == 1 else c)
         return ESymFunc(terms)
 
     @staticmethod

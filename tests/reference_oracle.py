@@ -2,6 +2,7 @@
 
 These check identities that tie the brute-force oracle to other routes:
 
+* the p-basis sum over edge subsets, taken one subset at a time;
 * proper colorings counted by enumeration, against X(1^m);
 * the stable-triple deletion identities, evaluated with the oracle;
 * X of conjoined graphs assembled from the clique/cycle node-graph
@@ -15,7 +16,8 @@ in :mod:`chromsym.oracle`, which must stay independent of the closed forms.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 from math import factorial
 
 from chromsym.formulas import x_cycle, x_kpkp_b3, x_lollipop, x_path
@@ -34,6 +36,29 @@ def count_proper_colorings(g: Graph, colors: int) -> int:
         if all(assignment[u] != assignment[v] for u, v in edges):
             total += 1
     return total
+
+
+def p_subset_sum(n: int, edges) -> dict[tuple[int, ...], int]:
+    """Nonzero p-coefficients of sum over S subseteq E of (-1)^|S| p_{lambda(S)}.
+
+    lambda(S) lists the component sizes of (V, S) (Stanley 1995, Thm 2.5);
+    every subset is visited, with no cancellation or grouping.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for r in range(len(edges) + 1):
+        for subset in combinations(edges, r):
+            root = list(range(n))
+
+            def find(x: int) -> int:
+                while root[x] != x:
+                    x = root[x]
+                return x
+
+            for u, v in subset:
+                root[find(u)] = find(v)
+            key = tuple(sorted(Counter(map(find, range(n))).values(), reverse=True))
+            out[key] = out.get(key, 0) + (-1) ** r
+    return {key: c for key, c in out.items() if c}
 
 
 # ----------------------------------------------------------------------

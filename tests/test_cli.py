@@ -102,8 +102,8 @@ class TestOracleCmd:
         assert code == 2 and "line 2" in err
 
     def test_internal_error_exit_code(self, capsys):
-        # the edge-subset recursion is one level per edge, so 1199 edges
-        # overflow the interpreter stack: a crash, not a user error
+        # the oracle recurses one level per block removed, so a 1200-vertex
+        # path overflows the interpreter stack: a crash, not a user error
         code, _, err = run(capsys, "oracle", "--family", "path", "--n", "1200",
                            "--edge-budget", "5000")
         assert code == 4

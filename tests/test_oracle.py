@@ -17,6 +17,7 @@ from chromsym.graphs import (
     conjoin,
     disjoint_union,
     kayak,
+    kpk,
     lollipop,
     path,
     rooted_complete,
@@ -32,6 +33,7 @@ from chromsym.oracle import (
 from chromsym.symfunc import ESymFunc, e_term, one, p_to_e
 from reference_oracle import (
     count_proper_colorings,
+    p_subset_sum,
     triple_deletion_check,
     x_tw_cycle_rec,
     x_tw_path_rec,
@@ -91,6 +93,17 @@ class TestBruteForce:
             for m in range(1, 5):
                 assert x.evaluate_at([1] * m) == count_proper_colorings(g, m)
 
+    def test_cached_results_are_read_only(self):
+        # csf_bruteforce and p_to_e hand one cached value to every caller
+        want_path, want_p2 = csf_bruteforce(path(3)).to_text(), p_to_e(2).to_text()
+        with pytest.raises(TypeError):
+            csf_bruteforce(path(3)).terms[(3,)] = 999
+        with pytest.raises(TypeError):
+            del p_to_e(2).terms[(2,)]
+        assert csf_bruteforce(path(3)).to_text() == want_path
+        assert p_to_e(2).to_text() == want_p2
+        assert csf_bruteforce(path(4)).is_e_positive()
+
     def test_cache_is_bounded(self):
         pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         graphs = [Graph(5, frozenset(e for i, e in enumerate(pairs) if mask >> i & 1))
@@ -119,26 +132,33 @@ class TestBruteForce:
                     alias.name for alias in node.names}
         assert found == {"graphs", "symfunc"}, found
 
-    def test_both_routes_agree(self):
-        # same sum computed by the vertex DP and the edge-subset recursion
-        from chromsym.oracle import _edge_subsets, _vertex_dp
+    def test_matches_literal_subset_sum(self):
+        # the connected-block sum against the edge-subset sum it groups
+        def check(n, edges):
+            edges = sorted({(min(e), max(e)) for e in edges})
+            got = {k: c for k, c in oracle._p_coefficients(n, edges).items() if c}
+            assert got == p_subset_sum(n, edges), (n, edges)
 
         rng = random.Random(5)
         for _ in range(30):
             n = rng.randint(2, 6)
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            edges = sorted(e for e in pool if rng.random() < 0.6)
-            assert _vertex_dp(n, edges) == _edge_subsets(n, edges)
-        # sparse pieces the oracle sends to the edge-subset recursion, where
-        # the count-vector leaf keys are expanded into partitions
+            check(n, [e for e in pool if rng.random() < 0.6])
+        # relabelled trees and rings, where the blocks are paths and arcs
         for n in (10, 11, 12):
             label = list(range(n))
             rng.shuffle(label)
-            tree = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
-            ring = [(label[v], label[(v + 1) % n]) for v in range(n)]
-            for edges in (tree, ring):
-                edges = sorted((min(e), max(e)) for e in edges)
-                assert _vertex_dp(n, edges) == _edge_subsets(n, edges)
+            check(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)])
+            check(n, [(label[v], label[(v + 1) % n]) for v in range(n)])
+        # a star, whose 2^9 blocks with the centre are all trees; a dense
+        # core; a core with removable independent sets of two vertices; and
+        # triangles joined by a path, whose blocks peel pendant vertices
+        check(10, [(0, v) for v in range(1, 10)])
+        check(6, complete(6).edges)
+        check(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)])
+        label = list(range(7))
+        rng.shuffle(label)
+        check(7, [(label[u], label[v]) for u, v in kpk(3, 3, 2).edges])
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:

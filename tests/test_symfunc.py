@@ -155,7 +155,11 @@ class TestSerialization:
 
     @given(func_of_degree(4))
     def test_structured_round_trip(self, f):
-        assert ESymFunc.from_json(f.to_json()) == f
+        back = ESymFunc.from_json(f.to_json())
+        assert back == f
+        # whole coefficients come back as int, not as Fraction
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for c in back.terms.values())
 
     def test_positivity_queries(self):
         assert zero().is_e_positive()
