@@ -89,14 +89,25 @@ def _graph_input(args: argparse.Namespace):
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read {args.graph}: {exc}") from None
-        return parse_edge_list(text)
+        try:
+            return parse_edge_list(text)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     fam, params = _collect_params(args)
-    return fam.build_graph(**params)
+    try:
+        return fam.build_graph(**params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _evaluate(args) -> ESymFunc:
+    # a ValueError raised inside an evaluator is still taken for a rejected
+    # parameter, since the families check their parameters there
     fam, params = _collect_params(args)
-    return fam.evaluate(**params)
+    try:
+        return fam.evaluate(**params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_expand(args) -> int:
@@ -214,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EdgeBudgetError as exc:

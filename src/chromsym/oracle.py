@@ -6,9 +6,8 @@ inclusion-exclusion identity
     X_G = sum over S subseteq E of (-1)^|S| p_{lambda(S)},
 
 where lambda(S) lists the component sizes of (V, S) (Stanley 1995, Thm 2.5),
-and converts the result to the e-basis through Newton's identities.  The sum
-is evaluated exactly, per connected component, by one route: grouping the
-edge subsets by the connected blocks they span gives
+exactly and per connected component, by one route: grouping the edge subsets
+by the connected blocks they span gives
 
     X_G = sum over partitions of V into connected blocks B of
           prod c(B) p_|B|,
@@ -20,11 +19,11 @@ independent sets of the core that remains.  Nothing here touches composition
 statistics or any closed-form evaluator, which keeps this module an
 independent oracle for them.
 
-The integer p-coefficients go to the e-basis in one integer pass: the p-keys
-are walked in sorted order over a stack of prefix products, so keys sharing
-their first parts share those products, and each further part costs one
-product with the int coefficients of p_to_e(part).  One ESymFunc is built
-per component, from the summed ints.
+The memo holds integer e-coefficients, so no p-keyed table is ever built:
+at each set of vertices left, the signed e-coefficients of the remainders are
+summed per block size s, and each size's sum is multiplied once by the int
+coefficients of p_to_e(s) (Newton's identities), since p_{lambda + (s)} =
+p_s p_lambda.  One ESymFunc is built per component, from those ints.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def _components(n: int, edges) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def _p_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """p-coefficients of the graph on vertices 0..k-1: the sum over its
+def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
+    """e-coefficients of X of the graph on vertices 0..k-1: the sum over its
     partitions into connected blocks B of prod c(B) p_|B|, taken top down."""
     adj = [0] * k
     for u, v in edges:
@@ -146,51 +145,31 @@ def _p_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
 
     def rec(rest: int, n_edges: int) -> dict[tuple[int, ...], int]:
         if not n_edges:
-            return {(1,) * rest.bit_count(): 1}
+            return {(1,) * rest.bit_count(): 1}  # p_1 = e_1
         if rest in memo:
             return memo[rest]
-        out: dict[tuple[int, ...], int] = {}
+        # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks
+        # of one size s are summed first and multiplied by p_to_e(s) once
+        by_size: dict[int, dict[tuple[int, ...], int]] = {}
         for block, inner, touching in blocks(rest):
             size = block.bit_count()
             # a tree peels down to one vertex, flipping the sign per edge
             c = (-1) ** inner if inner == size - 1 else signed_count(block)
+            acc = by_size.setdefault(size, {})
             for key, coef in rec(rest ^ block, n_edges - touching).items():
-                nk = tuple(sorted(key + (size,), reverse=True))
-                out[nk] = out.get(nk, 0) + c * coef
+                acc[key] = acc.get(key, 0) + c * coef
+        out: dict[tuple[int, ...], int] = {}
+        for size, acc in by_size.items():
+            factor = p_to_e(size).terms.items()
+            for k1, c1 in acc.items():
+                if c1:
+                    for k2, c2 in factor:
+                        nk = tuple(sorted(k1 + k2, reverse=True))
+                        out[nk] = out.get(nk, 0) + c1 * c2
         memo[rest] = out
         return out
 
     return rec((1 << k) - 1, len(edges))
-
-
-def _p_to_e_sum(coeffs: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """Integer e-coefficients of sum c_lambda p_lambda over the given p-keys.
-
-    The keys are walked in sorted order over a stack of prefix products, so
-    keys that share their first parts share the products of those parts: each
-    part past the shared prefix costs one multiplication by p_to_e(part).
-    """
-    out: dict[tuple[int, ...], int] = {}
-    prefix: list[int] = []
-    stack: list[dict[tuple[int, ...], int]] = [{(): 1}]
-    for key in sorted(coeffs):
-        common = 0
-        while common < min(len(prefix), len(key)) and prefix[common] == key[common]:
-            common += 1
-        del prefix[common:], stack[common + 1:]
-        for part in key[common:]:
-            factor = list(p_to_e(part).terms.items())
-            prod: dict[tuple[int, ...], int] = {}
-            for k1, c1 in stack[-1].items():
-                for k2, c2 in factor:
-                    nk = tuple(sorted(k1 + k2, reverse=True))
-                    prod[nk] = prod.get(nk, 0) + c1 * c2
-            prefix.append(part)
-            stack.append(prod)
-        c = coeffs[key]
-        for nk, v in stack[-1].items():
-            out[nk] = out.get(nk, 0) + c * v
-    return out
 
 
 def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
@@ -199,7 +178,7 @@ def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
         return e_term((1,))
     index = {v: i for i, v in enumerate(verts)}
     local = [(index[u], index[v]) for u, v in edges]
-    return ESymFunc(_p_to_e_sum(_p_coefficients(k, local)))
+    return ESymFunc(_e_coefficients(k, local))
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep

@@ -113,14 +113,32 @@ class TestOracleCmd:
         # a KeyError raised inside the oracle is a fault, not a bad argument
         from chromsym import oracle
 
-        def broken(coeffs):
+        def broken(k, edges):
             raise KeyError((3, 2))
 
-        monkeypatch.setattr(oracle, "_p_to_e_sum", broken)
+        monkeypatch.setattr(oracle, "_e_coefficients", broken)
         oracle.csf_bruteforce.cache_clear()
         code, _, err = run(capsys, "oracle", "--family", "path", "--n", "5")
         assert code == 4
         assert err.startswith("internal error: KeyError: ")
+
+    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
+        # only parameter and input checks are usage errors, not a ValueError
+        # raised while the oracle computes
+        from chromsym import oracle
+
+        def broken(k, edges):
+            raise ValueError("bad partition")
+
+        monkeypatch.setattr(oracle, "_e_coefficients", broken)
+        oracle.csf_bruteforce.cache_clear()
+        code, _, err = run(capsys, "oracle", "--family", "path", "--n", "5")
+        assert code == 4
+        assert err.startswith("internal error: ValueError: ")
+
+    def test_bad_graph_parameter(self, capsys):
+        code, _, err = run(capsys, "oracle", "--family", "cycle", "--n", "2")
+        assert code == 2 and "cycle needs n >= 3" in err
 
     def test_unknown_family_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--family", "mystery", "--n", "4")

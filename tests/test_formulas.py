@@ -35,6 +35,7 @@ from chromsym.formulas import (
     x_tw_path,
 )
 from chromsym.graphs import (
+    cycle,
     infinity,
     kayak,
     kkp,
@@ -44,6 +45,7 @@ from chromsym.graphs import (
     lollipop,
     melting_lollipop,
     k_chain,
+    path,
     pkp,
     tadpole,
     tw_lollipop,
@@ -307,6 +309,19 @@ def test_matches_enumerative_reference(tag):
     reference = getattr(reference_formulas, fam.evaluate.__name__)
     for params in fam.grid(11):
         assert fam.evaluate(**params) == reference(**params), params
+
+
+@pytest.mark.parametrize("build, formula, args, max_edges", [
+    (path, x_path, (22,), 24),
+    (cycle, x_cycle, (20,), 24),
+    (kayak, x_kayak, (6, 7, 8), 24),
+    (tw_path, x_tw_path, (19, 9), 24),
+    (tadpole, x_tadpole, (8, 12), 24),
+    (lollipop, x_lollipop, (9, 8), 44),
+], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "tadpole8_12", "lollipop9_8"])
+def test_matches_oracle_past_grid(build, formula, args, max_edges):
+    # sparse graphs above order 13, and a lollipop past the 24-edge budget
+    assert csf_bruteforce(build(*args), max_edges) == formula(*args)
 
 
 class TestHelperIdentity:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromsym import oracle
-from chromsym.compositions import iter_compositions, rho
 from chromsym.graphs import (
     Graph,
     complete,
@@ -25,11 +24,7 @@ from chromsym.graphs import (
     rooted_path,
     tw_path,
 )
-from chromsym.oracle import (
-    EdgeBudgetError,
-    _p_to_e_sum,
-    csf_bruteforce,
-)
+from chromsym.oracle import EdgeBudgetError, csf_bruteforce
 from chromsym.symfunc import ESymFunc, e_term, one, p_to_e
 from reference_oracle import (
     count_proper_colorings,
@@ -133,11 +128,14 @@ class TestBruteForce:
         assert found == {"graphs", "symfunc"}, found
 
     def test_matches_literal_subset_sum(self):
-        # the connected-block sum against the edge-subset sum it groups
+        # the connected-block sum against the edge-subset sum it groups,
+        # taken to the e-basis one p_lambda at a time
         def check(n, edges):
             edges = sorted({(min(e), max(e)) for e in edges})
-            got = {k: c for k, c in oracle._p_coefficients(n, edges).items() if c}
-            assert got == p_subset_sum(n, edges), (n, edges)
+            want = ESymFunc({}, 0)
+            for key, c in p_subset_sum(n, edges).items():
+                want = want + c * p_product(key)
+            assert ESymFunc(oracle._e_coefficients(n, edges)) == want, (n, edges)
 
         rng = random.Random(5)
         for _ in range(30):
@@ -161,33 +159,12 @@ class TestBruteForce:
         check(7, [(label[u], label[v]) for u, v in kpk(3, 3, 2).edges])
 
 
-def partitions(n: int) -> list[tuple[int, ...]]:
-    return sorted({rho(c) for c in iter_compositions(n, 1)})
-
-
 def p_product(key: tuple[int, ...]) -> ESymFunc:
     """p_lambda as a product of ESymFunc expansions, one p_to_e per part."""
     out = one()
     for part in key:
         out = out * p_to_e(part)
     return out
-
-
-class TestPToESum:
-    def test_single_key_matches_product_route(self):
-        for n in range(1, 11):
-            for key in partitions(n):
-                assert ESymFunc(_p_to_e_sum({key: 1})) == p_product(key), key
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 9), st.data())
-    def test_random_integer_combination(self, n, data):
-        coeffs = data.draw(st.dictionaries(st.sampled_from(partitions(n)),
-                                           st.integers(-10**6, 10**6), min_size=1))
-        want = ESymFunc({}, 0)
-        for key, c in coeffs.items():
-            want = want + c * p_product(key)
-        assert ESymFunc(_p_to_e_sum(coeffs)) == want
 
 
 class TestTripleDeletion:
