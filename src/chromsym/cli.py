@@ -35,6 +35,17 @@ class UsageError(Exception):
     pass
 
 
+def _at_least(low: int):
+    """An argparse type for an int of at least low, so that argparse rejects
+    anything less as a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_family_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", help="family tag (see list-families)")
     for flag in PARAM_FLAGS:
@@ -191,23 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_oracle)
     p_oracle.add_argument("--format", choices=("text", "structured"),
                           default="text")
-    p_oracle.add_argument("--edge-budget", type=int,
+    p_oracle.add_argument("--edge-budget", type=_at_least(0),
                           default=DEFAULT_EDGE_BUDGET)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_pos = sub.add_parser("positivity", help="e-positivity verdict")
     p_pos.add_argument("--graph", help="edge-list file")
     _add_family_flags(p_pos)
-    p_pos.add_argument("--edge-budget", type=int, default=DEFAULT_EDGE_BUDGET)
+    p_pos.add_argument("--edge-budget", type=_at_least(0),
+                       default=DEFAULT_EDGE_BUDGET)
     p_pos.set_defaults(func=cmd_positivity)
 
     p_verify = sub.add_parser(
         "verify", help="formula-vs-oracle differential sweep")
     p_verify.add_argument("--family",
                           help="family tag, or 'all' for every family")
-    p_verify.add_argument("--max-n", type=int, required=True,
+    p_verify.add_argument("--max-n", type=_at_least(1), required=True,
                           help="largest family size parameter n to test")
-    p_verify.add_argument("--edge-budget", type=int,
+    p_verify.add_argument("--edge-budget", type=_at_least(0),
                           default=DEFAULT_EDGE_BUDGET)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -19,6 +19,20 @@ independent sets of the core that remains.  Nothing here touches composition
 statistics or any closed-form evaluator, which keeps this module an
 independent oracle for them.
 
+The walk runs over classes of twins, vertices u and v with N(u) - v =
+N(v) - u, such as the vertices of a clique apart from its attachments, or
+the leaves of a star.  Each class is a clique or an independent set, and
+permuting it is an automorphism, so X of what is left depends only on how
+many vertices of each class are left.  The vertices are relabelled so that
+each class is a bit range, and every memo key is canonical: within each
+class, the lowest vertices are the ones present.  A block takes a prefix of
+each class and stands for all the blocks that take as many: with r_i
+vertices of class i left and t_i taken, there are prod C(r_i, t_i) of them,
+with C(r_j - 1, t_j - 1) for the class of the lowest vertex, which every
+block holds.  The independent sets of a core are weighed the same way.  A
+K_a is then a walk over a states, not 2^a, and a twin-free graph does the
+same work as a walk over single vertices.
+
 The memo holds integer e-coefficients, so no p-keyed table is ever built:
 at each set of vertices left, the signed e-coefficients of the remainders are
 summed per block size s, and each size's sum is multiplied once by the int
@@ -29,6 +43,7 @@ p_s p_lambda.  One ESymFunc is built per component, from those ints.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .graphs import Graph
 from .symfunc import ESymFunc, e_term, one, p_to_e
@@ -68,12 +83,38 @@ def _components(n: int, edges) -> list[list[int]]:
 
 def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
     """e-coefficients of X of the graph on vertices 0..k-1: the sum over its
-    partitions into connected blocks B of prod c(B) p_|B|, taken top down."""
+    partitions into connected blocks B of prod c(B) p_|B|, taken top down
+    over how many vertices of each class of twins are left."""
+    nbrs = [0] * k
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    # u and v are twins when N(u) - v = N(v) - u: false twins share N(u) and
+    # true twins N(u) + u, and no vertex has twins of both kinds.  Relabel
+    # so that each class is a bit range, placed where its first vertex was.
+    twins: dict[int, list[int]] = {}
+    for u in range(k):
+        twins.setdefault(nbrs[u], []).append(u)
+        twins.setdefault(nbrs[u] | 1 << u, []).append(u)
+    at: dict[int, int] = {}
+    mates: list[int] = []  # the mask of each vertex's class
+    multi: list[int] = []  # the masks of the classes of two or more
+    for u in range(k):
+        cls = max(twins[nbrs[u]], twins[nbrs[u] | 1 << u], key=len)
+        if cls[0] == u:
+            mask = ((1 << len(cls)) - 1) << len(at)
+            if len(cls) > 1:
+                multi.append(mask)
+            for w in cls:
+                at[w] = len(at)
+                mates.append(mask)
     adj = [0] * k
     for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    cores: dict[int, int] = {}
+        adj[at[u]] |= 1 << at[v]
+        adj[at[v]] |= 1 << at[u]
+    # Permuting a class is an automorphism, so every key below is canonical:
+    # within each class, the lowest vertices are the ones present.
+    counts: dict[int, int] = {}
     memo: dict[int, dict[tuple[int, ...], int]] = {}
 
     def connected(mask: int) -> bool:
@@ -86,47 +127,62 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
         return seen == mask
 
     def signed_count(block: int) -> int:
-        """c(block) for a connected block, by pendant peeling and its core."""
+        """c(block) for a canonical connected block, by pendant peeling and a
+        sum over the core that remains."""
+        if block & (block - 1) == 0:
+            return 1
+        if block in counts:
+            return counts[block]
+        deg = {u: (adj[u] & block).bit_count() for u in range(k) if block >> u & 1}
         # a pendant edge lies in every connected spanning subgraph, so
-        # removing its leaf flips the sign and keeps the count
-        deg = [(a & block).bit_count() for a in adj]
-        leaves = [u for u in range(k) if block >> u & 1 and deg[u] == 1]
-        sign = 1
+        # removing its leaf flips the sign and keeps the count; the core left
+        # is canonical, as automorphisms of G[block] keep it
+        core, sign = block, 1
+        leaves = [u for u, d in deg.items() if d == 1]
         while leaves:
             u = leaves.pop()
             if deg[u] != 1:
                 continue  # the last vertex of a peeled-away tree
-            block ^= 1 << u
+            core ^= 1 << u
             sign = -sign
-            w = (adj[u] & block).bit_length() - 1
+            w = (adj[u] & core).bit_length() - 1
             deg[w] -= 1
             if deg[w] == 1:
                 leaves.append(w)
-        if block & (block - 1) == 0:
-            return sign
-        if block not in cores:
-            # The signed sum over all edge subsets of the core is 0.  Grouped
-            # by the component of the lowest vertex, it gives c(core) = -sum
-            # of c(core - I) over the nonempty independent sets I avoiding
-            # that vertex with core - I connected: other edges cancel.
-            total = 0
-            stack = [(0, block & (block - 1))]
-            while stack:
-                chosen, free = stack.pop()
-                if not free:
-                    if chosen and connected(block ^ chosen):
-                        total += signed_count(block ^ chosen)
-                    continue
-                low = free & -free
-                stack.append((chosen, free ^ low))
-                stack.append((chosen | low, free & ~low & ~adj[low.bit_length() - 1]))
-            cores[block] = -total
-        return sign * cores[block]
+        if core != block:
+            counts[block] = sign * signed_count(core)
+            return counts[block]
+        # The signed sum over all edge subsets of the core is 0.  Grouped by
+        # the component of the lowest vertex, it gives c(core) = -sum of
+        # c(core - I) over the nonempty independent sets I avoiding that
+        # vertex with core - I connected: other edges cancel.  I takes the
+        # highest vertices of each class, so core - I stays canonical, and
+        # stands for prod C(e_i, s_i) sets taking s_i of the e_i free ones.
+        free = block & (block - 1)
+        total = 0
+        stack = [(0, free)]
+        while stack:
+            chosen, left = stack.pop()
+            if not left:
+                if chosen and connected(block ^ chosen):
+                    c = signed_count(block ^ chosen)
+                    for mask in multi:
+                        s = (chosen & mask).bit_count()
+                        if s:
+                            c *= comb((free & mask).bit_count(), s)
+                    total += c
+                continue
+            u = left.bit_length() - 1
+            stack.append((chosen, left & ~mates[u]))
+            stack.append((chosen | 1 << u, left & ~(1 << u) & ~adj[u]))
+        counts[block] = -total
+        return -total
 
     def blocks(rest: int):
         """Yield (block, edges inside, edges touching) for each connected block
-        in rest holding its lowest vertex, once: every boundary vertex is taken
-        or banned, and banning runs first, so the lowest vertex alone is first."""
+        in rest holding its lowest vertex and a prefix of each class, once:
+        every boundary vertex is taken or banned with its classmates above
+        it, and banning runs first, so the lowest vertex alone is first."""
         v = rest & -rest
         stack = [(v, 0, 0, adj[v.bit_length() - 1] & rest, 0)]
         while stack:
@@ -137,17 +193,20 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             low = frontier & -frontier
             grown = block | low
             near = adj[low.bit_length() - 1]
+            ban = mates[low.bit_length() - 1] & frontier
             stack.append((grown, inner + (near & block).bit_count(),
                           touching + (near & (block | banned)).bit_count(),
                           (frontier | near & rest) & ~grown & ~banned, banned))
-            stack.append((block, inner, touching + (near & block).bit_count(),
-                          frontier ^ low, banned | low))
+            stack.append((block, inner,
+                          touching + ban.bit_count() * (near & block).bit_count(),
+                          frontier ^ ban, banned | ban))
 
     def rec(rest: int, n_edges: int) -> dict[tuple[int, ...], int]:
         if not n_edges:
             return {(1,) * rest.bit_count(): 1}  # p_1 = e_1
         if rest in memo:
             return memo[rest]
+        v = rest & -rest
         # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks
         # of one size s are summed first and multiplied by p_to_e(s) once
         by_size: dict[int, dict[tuple[int, ...], int]] = {}
@@ -155,8 +214,19 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             size = block.bit_count()
             # a tree peels down to one vertex, flipping the sign per edge
             c = (-1) ** inner if inner == size - 1 else signed_count(block)
+            # the blocks holding v and t_i of the r_i vertices left in each
+            # class are this one's images under automorphisms fixing v:
+            # weigh it by their number, and shift what is left canonical
+            left = rest ^ block
+            for mask in multi:
+                t = (block & mask).bit_count()
+                if t:
+                    r = (rest & mask).bit_count()
+                    c *= comb(r - 1, t - 1) if v & mask else comb(r, t)
+                    part = left & mask
+                    left ^= part ^ (part >> t)
             acc = by_size.setdefault(size, {})
-            for key, coef in rec(rest ^ block, n_edges - touching).items():
+            for key, coef in rec(left, n_edges - touching).items():
                 acc[key] = acc.get(key, 0) + c * coef
         out: dict[tuple[int, ...], int] = {}
         for size, acc in by_size.items():

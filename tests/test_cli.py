@@ -95,6 +95,13 @@ class TestOracleCmd:
                            "--edge-budget", "28")
         assert code == 0 and out.strip() == "40320*e[8]"
 
+    def test_negative_budget_usage_error(self, capsys):
+        for command in ("oracle", "positivity"):
+            code, out, err = run(capsys, command, "--family", "path", "--n", "4",
+                                 "--edge-budget", "-1")
+            assert code == 2 and out == ""
+            assert "--edge-budget: must be at least 0, got -1" in err
+
     def test_parse_error(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("3\n0 9\n")
@@ -191,6 +198,13 @@ class TestVerify:
     def test_unknown_family_usage_error(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mystery", "--max-n", "4")
         assert code == 2 and "unknown family" in err
+
+    def test_bounds_usage_error(self, capsys):
+        for flags, want in ((("--max-n", "0"), "--max-n: must be at least 1, got 0"),
+                            (("--max-n", "3", "--edge-budget", "-1"),
+                             "--edge-budget: must be at least 0, got -1")):
+            code, out, err = run(capsys, "verify", "--family", "path", *flags)
+            assert code == 2 and out == "" and want in err
 
     def test_skips_reported_not_fatal(self, capsys):
         code, out, _ = run(capsys, "verify", "--family", "kchain",

@@ -318,9 +318,15 @@ def test_matches_enumerative_reference(tag):
     (tw_path, x_tw_path, (19, 9), 24),
     (tadpole, x_tadpole, (8, 12), 24),
     (lollipop, x_lollipop, (9, 8), 44),
-], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "tadpole8_12", "lollipop9_8"])
+    (lollipop, x_lollipop, (20, 6), 196),
+    (k_chain, x_kchain, ((10, 9, 8),), 109),
+    (kpkp, x_kpkp, (8, 3, 7, 2), 54),
+    (melting_lollipop, x_melting_lollipop, (12, 3, 5), 64),
+], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "tadpole8_12", "lollipop9_8",
+        "lollipop20_6", "kchain10_9_8", "kpkp8372", "melting12_3_5"])
 def test_matches_oracle_past_grid(build, formula, args, max_edges):
-    # sparse graphs above order 13, and a lollipop past the 24-edge budget
+    # sparse graphs above order 13, and clique families far past the 24-edge
+    # budget, where the oracle counts each clique's twins by binomials
     assert csf_bruteforce(build(*args), max_edges) == formula(*args)
 
 

@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chromsym import oracle
@@ -128,35 +128,76 @@ class TestBruteForce:
         assert found == {"graphs", "symfunc"}, found
 
     def test_matches_literal_subset_sum(self):
-        # the connected-block sum against the edge-subset sum it groups,
-        # taken to the e-basis one p_lambda at a time
-        def check(n, edges):
-            edges = sorted({(min(e), max(e)) for e in edges})
-            want = ESymFunc({}, 0)
-            for key, c in p_subset_sum(n, edges).items():
-                want = want + c * p_product(key)
-            assert ESymFunc(oracle._e_coefficients(n, edges)) == want, (n, edges)
-
+        # the connected-block sum against the edge-subset sum it groups
         rng = random.Random(5)
         for _ in range(30):
             n = rng.randint(2, 6)
             pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            check(n, [e for e in pool if rng.random() < 0.6])
+            check_literal(n, [e for e in pool if rng.random() < 0.6])
         # relabelled trees and rings, where the blocks are paths and arcs
         for n in (10, 11, 12):
             label = list(range(n))
             rng.shuffle(label)
-            check(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)])
-            check(n, [(label[v], label[(v + 1) % n]) for v in range(n)])
-        # a star, whose 2^9 blocks with the centre are all trees; a dense
-        # core; a core with removable independent sets of two vertices; and
-        # triangles joined by a path, whose blocks peel pendant vertices
-        check(10, [(0, v) for v in range(1, 10)])
-        check(6, complete(6).edges)
-        check(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)])
-        label = list(range(7))
+            check_literal(n, [(label[rng.randrange(v)], label[v]) for v in range(1, n)])
+            check_literal(n, [(label[v], label[(v + 1) % n]) for v in range(n)])
+        # a dense core; and a core with removable independent sets of two
+        # vertices
+        check_literal(6, complete(6).edges)
+        check_literal(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)])
+        # relabelled, so that twin classes are scattered across the labels:
+        # triangles joined by a path, whose blocks peel pendant vertices; the
+        # star K_{1,9}; K_{3,4}; K_{2,2,2}; K_6 with a pendant path of three
+        # vertices; a clique class joined to an independent class; and a
+        # twinned path
+        for n, edges in ((7, kpk(3, 3, 2).edges),
+                         (10, [(0, v) for v in range(1, 10)]),
+                         (7, [(u, v) for u in range(3) for v in range(3, 7)]),
+                         (6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                              if u // 2 != v // 2]),
+                         (9, sorted(complete(6).edges) + [(5, 6), (6, 7), (7, 8)]),
+                         (6, [(0, 1), (0, 2), (1, 2)]
+                          + [(u, v) for u in range(3) for v in range(3, 6)]),
+                         (7, tw_path(6, 2).edges)):
+            label = list(range(n))
+            rng.shuffle(label)
+            check_literal(n, [(label[u], label[v]) for u, v in edges])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=4),
+           st.integers(0, 63), st.randoms(use_true_random=False))
+    def test_blowups_match_literal_subset_sum(self, classes, quotient, rng):
+        # each vertex of a quotient graph on up to four vertices becomes a
+        # clique or an independent set of up to three twins
+        members, n = [], 0
+        for size, _ in classes:
+            members.append(range(n, n + size))
+            n += size
+        pairs = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
+        edges = [(u, v) for bit, (i, j) in enumerate(pairs) if quotient >> bit & 1
+                 for u in members[i] for v in members[j]]
+        edges += [(u, v) for (_, clique), verts in zip(classes, members) if clique
+                  for u in verts for v in verts if u < v]
+        assume(n <= 8 and len(edges) <= 14)
+        label = list(range(n))
         rng.shuffle(label)
-        check(7, [(label[u], label[v]) for u, v in kpk(3, 3, 2).edges])
+        check_literal(n, [(label[u], label[v]) for u, v in edges])
+
+    def test_star_chromatic_polynomial(self):
+        # K_{1,19}: the centre takes one of k colours and each leaf another
+        star = Graph(20, frozenset((0, v) for v in range(1, 20)))
+        x = csf_bruteforce(star, 19)
+        for k in (2, 3, 4):
+            assert x.evaluate_at([1] * k) == k * (k - 1) ** 19
+
+
+def check_literal(n: int, edges) -> None:
+    """The oracle's e-coefficients against the edge-subset sum, taken to the
+    e-basis one p_lambda at a time."""
+    edges = sorted({(min(e), max(e)) for e in edges})
+    want = ESymFunc({}, 0)
+    for key, c in p_subset_sum(n, edges).items():
+        want = want + c * p_product(key)
+    assert ESymFunc(oracle._e_coefficients(n, edges)) == want, (n, edges)
 
 
 def p_product(key: tuple[int, ...]) -> ESymFunc:
