@@ -37,7 +37,18 @@ The memo holds integer e-coefficients, so no p-keyed table is ever built:
 at each set of vertices left, the signed e-coefficients of the remainders are
 summed per block size s, and each size's sum is multiplied once by the int
 coefficients of p_to_e(s) (Newton's identities), since p_{lambda + (s)} =
-p_s p_lambda.  One ESymFunc is built per component, from those ints.
+p_s p_lambda.  One ESymFunc is built per component with edges, from those
+ints, and one e_1^m for the m isolated vertices.
+
+X of what is left depends only on the induced subgraph G[rest], so the memo
+has two layers.  The first is keyed by the set rest itself, an int, and
+lives for one component.  On a miss, the second is keyed by the shape of
+rest: the adjacency rows of G[rest], relabelled 0..m-1 in vertex order, as a
+tuple of ints.  Two shapes are equal exactly when the induced labelled graphs
+are, so this layer is shared by every call: the arcs a cycle leaves are
+paths, and the small graphs of a verify sweep meet the same remainders again
+and again.  It is capped by the number of coefficients it holds, and cleared
+when it would go past the cap.
 """
 
 from __future__ import annotations
@@ -46,9 +57,20 @@ from functools import lru_cache
 from math import comb
 
 from .graphs import Graph
-from .symfunc import ESymFunc, e_term, one, p_to_e
+from .symfunc import ESymFunc, e_term, p_to_e
 
 DEFAULT_EDGE_BUDGET = 24
+
+# X of an induced subgraph depends on nothing else, so the block sum shares
+# the e-coefficients of each set of vertices left across calls, keyed by its
+# shape (see the module docstring).  A verify sweep stores 7917 coefficients
+# at max-n 9, 27862 at max-n 11 and 48943 at max-n 12; lollipop(20,6) stores
+# 32211, at about 120 bytes each.  A cap of 2**16 coefficients so holds about
+# 8 MB.  Past it the memo is cleared, which costs only recomputation: each
+# call still finishes from its own memo.
+_SHARED_TERMS = 1 << 16
+_shared: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+_shared_terms = 0
 
 
 class EdgeBudgetError(Exception):
@@ -201,11 +223,33 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
                           touching + ban.bit_count() * (near & block).bit_count(),
                           frontier ^ ban, banned | ban))
 
+    def shape(rest: int) -> tuple[int, ...]:
+        """The adjacency rows of G[rest], relabelled 0..m-1 in vertex order:
+        each run of consecutive vertices in rest shifts down as one."""
+        runs, verts = [], []
+        r = rest
+        while r:
+            low = (r & -r).bit_length() - 1
+            run = r & ~(r + (1 << low))
+            runs.append((run, low - len(verts)))
+            verts += range(low, low + run.bit_count())
+            r ^= run
+        rows = [adj[u] for u in verts]
+        out = [0] * len(verts)
+        for run, drop in runs:
+            out = [row | (a & run) >> drop for row, a in zip(out, rows)]
+        return tuple(out)
+
     def rec(rest: int, n_edges: int) -> dict[tuple[int, ...], int]:
+        global _shared_terms
         if not n_edges:
             return {(1,) * rest.bit_count(): 1}  # p_1 = e_1
         if rest in memo:
             return memo[rest]
+        form = shape(rest)
+        if form in _shared:
+            out = memo[rest] = _shared[form]
+            return out
         v = rest & -rest
         # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks
         # of one size s are summed first and multiplied by p_to_e(s) once
@@ -236,19 +280,14 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
                     for k2, c2 in factor:
                         nk = tuple(sorted(k1 + k2, reverse=True))
                         out[nk] = out.get(nk, 0) + c1 * c2
-        memo[rest] = out
+        _shared[form] = memo[rest] = out
+        _shared_terms += len(out)
+        if _shared_terms > _SHARED_TERMS:
+            _shared.clear()
+            _shared_terms = 0
         return out
 
     return rec((1 << k) - 1, len(edges))
-
-
-def _csf_component(verts: list[int], edges: list[tuple[int, int]]) -> ESymFunc:
-    k = len(verts)
-    if not edges:
-        return e_term((1,))
-    index = {v: i for i, v in enumerate(verts)}
-    local = [(index[u], index[v]) for u, v in edges]
-    return ESymFunc(_e_coefficients(k, local))
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep
@@ -266,8 +305,14 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     for u, v in g.edges:
         by_vertex.setdefault(u, []).append((u, v))
         by_vertex.setdefault(v, []).append((u, v))
-    out = one()
-    for comp in _components(g.n_vertices, g.edges):
-        comp_edges = sorted({e for v in comp for e in by_vertex.get(v, ())})
-        out = out * _csf_component(comp, comp_edges)
+    comps = _components(g.n_vertices, g.edges)
+    # each isolated vertex is a factor e_1: one product for all of them, as
+    # every product sorts the keys anew
+    out = e_term((1,) * sum(len(comp) == 1 for comp in comps))
+    for comp in comps:
+        if len(comp) > 1:
+            index = {v: i for i, v in enumerate(comp)}
+            local = sorted({(index[u], index[v])
+                            for w in comp for u, v in by_vertex[w]})
+            out = out * ESymFunc(_e_coefficients(len(comp), local))
     return out

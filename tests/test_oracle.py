@@ -10,10 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chromsym import oracle
+from chromsym.families import FAMILIES, run_verification
 from chromsym.graphs import (
     Graph,
     complete,
     conjoin,
+    cycle,
     disjoint_union,
     kayak,
     kpk,
@@ -182,6 +184,13 @@ class TestBruteForce:
         rng.shuffle(label)
         check_literal(n, [(label[u], label[v]) for u, v in edges])
 
+    def test_isolated_vertices_fold_into_one_factor(self):
+        # one e_1^m for all isolated vertices, not one product per vertex,
+        # each of which sorted the ever longer keys anew
+        assert csf_bruteforce(Graph(20000, frozenset())) == e_term((1,) * 20000)
+        triangle = Graph(5003, frozenset({(0, 1), (0, 2), (1, 2)}))
+        assert csf_bruteforce(triangle) == csf_bruteforce(complete(3)) * e_term((1,) * 5000)
+
     def test_star_chromatic_polynomial(self):
         # K_{1,19}: the centre takes one of k colours and each leaf another
         star = Graph(20, frozenset((0, v) for v in range(1, 20)))
@@ -200,12 +209,94 @@ def check_literal(n: int, edges) -> None:
     assert ESymFunc(oracle._e_coefficients(n, edges)) == want, (n, edges)
 
 
+def clear_shared_memo() -> None:
+    """Empty the memo of remainders that the oracle shares across calls."""
+    oracle._shared.clear()
+    oracle._shared_terms = 0
+
+
+def graph_x(g: Graph) -> ESymFunc:
+    """csf_bruteforce without its cache of whole graphs, so the block sum runs."""
+    return csf_bruteforce.__wrapped__(g, g.edge_count)
+
+
 def p_product(key: tuple[int, ...]) -> ESymFunc:
     """p_lambda as a product of ESymFunc expansions, one p_to_e per part."""
     out = one()
     for part in key:
         out = out * p_to_e(part)
     return out
+
+
+class TestSharedMemo:
+    """The memo of remainders keyed by induced subgraph, shared across calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_cold_and_warm_memo_match_literal_subset_sum(self, n, rng):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(0, 12)))
+        clear_shared_memo()
+        check_literal(n, edges)
+        # warm the memo with graphs that share induced subgraphs with this
+        # one and differ from it: one edge fewer, or one more, or others
+        clear_shared_memo()
+        for drop in edges:
+            oracle._e_coefficients(n, [e for e in edges if e != drop])
+        for add in pairs:
+            if add not in edges:
+                oracle._e_coefficients(n, sorted(edges + [add]))
+        for _ in range(3):
+            oracle._e_coefficients(n, rng.sample(pairs, min(len(pairs), 12)))
+        check_literal(n, edges)
+
+    @pytest.mark.parametrize("g, h", [
+        (path(5), cycle(5)),
+        (complete(4), cycle(4)),
+        (Graph(4, frozenset({(0, 1), (2, 3)})), Graph(4, frozenset({(0, 1), (1, 2)}))),
+        (kayak(3, 3, 1), lollipop(4, 2)),
+    ])
+    def test_same_order_graphs_keep_their_own_values(self, g, h):
+        assert g.n_vertices == h.n_vertices and g.edges != h.edges
+        want = {}
+        for x in (g, h):
+            clear_shared_memo()
+            want[x] = graph_x(x)
+        for first, second in ((g, h), (h, g)):
+            clear_shared_memo()
+            assert graph_x(first) == want[first]
+            assert graph_x(second) == want[second]
+
+    def test_stays_under_its_cap(self, monkeypatch):
+        rng = random.Random(6)
+        graphs = [random_graph(rng, 8) for _ in range(60)] + [cycle(9), kayak(3, 4, 2)]
+        clear_shared_memo()
+        want = [graph_x(g) for g in graphs]
+        assert oracle._shared_terms > 300
+        monkeypatch.setattr(oracle, "_SHARED_TERMS", 100)
+        clear_shared_memo()
+        for g, x in zip(graphs, want):
+            assert graph_x(g) == x
+            assert oracle._shared_terms <= 100
+            assert oracle._shared_terms == sum(map(len, oracle._shared.values()))
+        clear_shared_memo()
+
+    def test_cycle_arcs_share_their_paths(self):
+        # the arcs a cycle leaves are paths, so a 15-cycle stores one shape
+        # per arc length, where a memo per set of vertices holds 92 sets
+        clear_shared_memo()
+        graph_x(cycle(15))
+        assert len(oracle._shared) <= 15
+
+    def test_verify_sweep_shares_remainders(self):
+        # a sweep at max-n 9 reaches 5412 sets of vertices left, but only
+        # 476 distinct induced subgraphs
+        clear_shared_memo()
+        csf_bruteforce.cache_clear()
+        for tag in FAMILIES:
+            for rec in run_verification(tag, 9):
+                assert rec.status != "fail", rec
+        assert len(oracle._shared) < 600
 
 
 class TestTripleDeletion:
