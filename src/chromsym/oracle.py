@@ -33,12 +33,16 @@ block holds.  The independent sets of a core are weighed the same way.  A
 K_a is then a walk over a states, not 2^a, and a twin-free graph does the
 same work as a walk over single vertices.
 
-The memo holds integer e-coefficients, so no p-keyed table is ever built:
-at each set of vertices left, the signed e-coefficients of the remainders are
-summed per block size s, and each size's sum is multiplied once by the int
-coefficients of p_to_e(s) (Newton's identities), since p_{lambda + (s)} =
-p_s p_lambda.  One ESymFunc is built per component with edges, from those
-ints, and one e_1^m for the m isolated vertices.
+The memo holds integer e-coefficients, so no p-keyed table is ever built,
+and keys them by packed partitions (see :mod:`chromsym.symfunc`), one int
+each, so that the key of a product of e-monomials is the sum of their keys.
+At each set of vertices left, the signed e-coefficients of the remainders are
+summed per block size s, and each size's sum is multiplied once by
+p_to_e_packed(s) (Newton's identities), since p_{lambda + (s)} = p_s
+p_lambda: one int addition per pair of terms.  Zero coefficients are dropped
+before a value is stored.  The keys are unpacked once per component with
+edges, into one ESymFunc, and one e_1^m is built for the m isolated
+vertices.
 
 X of what is left depends only on the induced subgraph G[rest], so the memo
 has two layers.  The first is keyed by the set rest itself, an int, and
@@ -57,19 +61,22 @@ from functools import lru_cache
 from math import comb
 
 from .graphs import Graph
-from .symfunc import ESymFunc, e_term, p_to_e
+from .symfunc import ESymFunc, e_term, p_to_e_packed, unpack
+# unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
+from .symfunc import p_to_e  # noqa: F401
 
 DEFAULT_EDGE_BUDGET = 24
 
 # X of an induced subgraph depends on nothing else, so the block sum shares
 # the e-coefficients of each set of vertices left across calls, keyed by its
-# shape (see the module docstring).  A verify sweep stores 7917 coefficients
-# at max-n 9, 27862 at max-n 11 and 48943 at max-n 12; lollipop(20,6) stores
-# 32211, at about 120 bytes each.  A cap of 2**16 coefficients so holds about
-# 8 MB.  Past it the memo is cleared, which costs only recomputation: each
-# call still finishes from its own memo.
+# shape (see the module docstring).  Only nonzero coefficients are stored: a
+# verify sweep stores 2960 at max-n 9, 10705 at max-n 11 and 19067 at max-n
+# 12; lollipop(20,6) stores 673.  Each takes about 85 to 130 bytes with its
+# packed key, so a cap of 2**16 coefficients holds at most about 8 MB.  Past
+# it the memo is cleared, which costs only recomputation: each call still
+# finishes from its own memo.
 _SHARED_TERMS = 1 << 16
-_shared: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+_shared: dict[tuple[int, ...], dict[int, int]] = {}
 _shared_terms = 0
 
 
@@ -137,7 +144,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
     # Permuting a class is an automorphism, so every key below is canonical:
     # within each class, the lowest vertices are the ones present.
     counts: dict[int, int] = {}
-    memo: dict[int, dict[tuple[int, ...], int]] = {}
+    memo: dict[int, dict[int, int]] = {}
 
     def connected(mask: int) -> bool:
         seen = todo = mask & -mask
@@ -240,10 +247,10 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             out = [row | (a & run) >> drop for row, a in zip(out, rows)]
         return tuple(out)
 
-    def rec(rest: int, n_edges: int) -> dict[tuple[int, ...], int]:
+    def rec(rest: int, n_edges: int) -> dict[int, int]:
         global _shared_terms
         if not n_edges:
-            return {(1,) * rest.bit_count(): 1}  # p_1 = e_1
+            return {rest.bit_count(): 1}  # p_1^m = e_1^m, which packs to m
         if rest in memo:
             return memo[rest]
         form = shape(rest)
@@ -251,9 +258,9 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             out = memo[rest] = _shared[form]
             return out
         v = rest & -rest
-        # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks
-        # of one size s are summed first and multiplied by p_to_e(s) once
-        by_size: dict[int, dict[tuple[int, ...], int]] = {}
+        # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks of
+        # one size s are summed first and multiplied by p_to_e_packed(s) once
+        by_size: dict[int, dict[int, int]] = {}
         for block, inner, touching in blocks(rest):
             size = block.bit_count()
             # a tree peels down to one vertex, flipping the sign per edge
@@ -272,14 +279,14 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             acc = by_size.setdefault(size, {})
             for key, coef in rec(left, n_edges - touching).items():
                 acc[key] = acc.get(key, 0) + c * coef
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for size, acc in by_size.items():
-            factor = p_to_e(size).terms.items()
+            factor = p_to_e_packed(size)
             for k1, c1 in acc.items():
                 if c1:
                     for k2, c2 in factor:
-                        nk = tuple(sorted(k1 + k2, reverse=True))
-                        out[nk] = out.get(nk, 0) + c1 * c2
+                        out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+        out = {key: c for key, c in out.items() if c}
         _shared[form] = memo[rest] = out
         _shared_terms += len(out)
         if _shared_terms > _SHARED_TERMS:
@@ -287,7 +294,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             _shared_terms = 0
         return out
 
-    return rec((1 << k) - 1, len(edges))
+    return {unpack(key): c for key, c in rec((1 << k) - 1, len(edges)).items()}
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep

@@ -10,8 +10,13 @@ Anything else, such as a float, raises :class:`TypeError`.
 
 Values are immutable once constructed (``terms`` is a read-only mapping, so
 cached values cannot be altered); operations return new values.
-``p_to_e`` runs Newton's recurrence on plain int coefficients and keeps one
-immutable expansion per degree in a ``functools.cache``.
+
+Inner loops key partitions by one int instead: the multiplicity vector packed
+with a fixed digit, sum of m_i << DIGIT * (i - 1) for m_i parts equal to i
+(:func:`pack`, :func:`unpack`).  The key of e_lambda e_mu is then the sum of
+their keys, and e_1^m packs to m.  ``p_to_e_packed`` runs Newton's recurrence
+on such keys and plain int coefficients, keeping one immutable expansion per
+degree in a ``functools.cache``; ``p_to_e`` unpacks it into an ``ESymFunc``.
 """
 
 from __future__ import annotations
@@ -218,9 +223,34 @@ def e_term(parts: Iterable[int], coeff: Scalar = 1) -> ESymFunc:
     return ESymFunc({tuple(parts): coeff})
 
 
+# A digit holds multiplicities up to 255.  A partition of k has at most k
+# equal parts, so keys are exact for partitions of k < 256; p_k for k >= 256
+# would have p(256) ~ 3.7e14 terms anyway, and is refused.
+DIGIT = 8
+_DIGIT_MASK = (1 << DIGIT) - 1
+
+
+def pack(parts: Iterable[int]) -> int:
+    """Packed key of the partition with the given parts, in any order; exact
+    while no part repeats more than 255 times."""
+    return sum(1 << DIGIT * (p - 1) for p in parts)
+
+
+def unpack(key: int) -> Partition:
+    """Weakly decreasing parts of a packed key."""
+    parts: list[int] = []
+    part = 1
+    while key:
+        parts += [part] * (key & _DIGIT_MASK)
+        key >>= DIGIT
+        part += 1
+    return tuple(reversed(parts))
+
+
 @cache
-def p_to_e(k: int) -> ESymFunc:
-    """Expansion of the power sum p_k in the e-basis.
+def p_to_e_packed(k: int) -> tuple[tuple[int, int], ...]:
+    """Expansion of the power sum p_k in the e-basis, as (packed key,
+    coefficient) pairs with no zero coefficient.
 
     Uses the Newton recurrence
     p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i,
@@ -228,10 +258,21 @@ def p_to_e(k: int) -> ESymFunc:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    acc: dict[Partition, int] = {(k,): (-1) ** (k - 1) * k}
+    if k > _DIGIT_MASK:
+        raise ValueError(
+            f"p_{k} needs multiplicities up to {k}, past the {DIGIT}-bit digit "
+            f"of packed keys: orders up to {_DIGIT_MASK} only")
+    acc = {pack((k,)): (-1) ** (k - 1) * k}
     for i in range(1, k):
         sign = (-1) ** (k - 1 - i)
-        for key, c in p_to_e(i).terms.items():
-            nk = tuple(sorted(key + (k - i,), reverse=True))
-            acc[nk] = acc.get(nk, 0) + sign * c
-    return ESymFunc(acc)
+        shift = pack((k - i,))  # times e_{k-i}
+        for key, c in p_to_e_packed(i):
+            acc[key + shift] = acc.get(key + shift, 0) + sign * c
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+@cache
+def p_to_e(k: int) -> ESymFunc:
+    """Expansion of the power sum p_k in the e-basis: :func:`p_to_e_packed`
+    unpacked."""
+    return ESymFunc({unpack(key): c for key, c in p_to_e_packed(k)})

@@ -281,6 +281,15 @@ class TestSharedMemo:
             assert oracle._shared_terms == sum(map(len, oracle._shared.values()))
         clear_shared_memo()
 
+    def test_stores_packed_keys_and_no_zeros(self):
+        clear_shared_memo()
+        graph_x(cycle(12))
+        values = list(oracle._shared.values())
+        assert values
+        for value in values:
+            assert all(type(key) is int and c != 0 for key, c in value.items())
+        assert oracle._shared_terms == sum(map(len, values))
+
     def test_cycle_arcs_share_their_paths(self):
         # the arcs a cycle leaves are paths, so a 15-cycle stores one shape
         # per arc length, where a memo per set of vertices holds 92 sets

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chromsym.symfunc import ESymFunc, e_term, one, p_to_e, zero
+from chromsym.symfunc import (ESymFunc, e_term, one, p_to_e, p_to_e_packed, pack,
+                              unpack, zero)
 
 
 def func_of_degree(n: int):
@@ -131,6 +132,65 @@ class TestEvaluateAt:
 
     def test_p3_at_12(self):
         assert p_to_e(3).evaluate_at((1, 2)) == 9
+
+
+def partitions(n: int):
+    """Every partition of n, weakly decreasing."""
+    from chromsym.compositions import iter_compositions
+
+    return sorted({tuple(sorted(c, reverse=True)) for c in iter_compositions(n, 1)})
+
+
+def newton_reference(top: int) -> list[dict[tuple[int, ...], int]]:
+    """p_1 .. p_top in the e-basis by Newton's recurrence on sorted-tuple
+    keys: entry k - 1 is p_k."""
+    out: list[dict[tuple[int, ...], int]] = []
+    for k in range(1, top + 1):
+        acc = {(k,): (-1) ** (k - 1) * k}
+        for i in range(1, k):
+            for key, c in out[i - 1].items():
+                nk = tuple(sorted(key + (k - i,), reverse=True))
+                acc[nk] = acc.get(nk, 0) + (-1) ** (k - 1 - i) * c
+        out.append({key: c for key, c in acc.items() if c})
+    return out
+
+
+class TestPackedKeys:
+    def test_round_trip(self):
+        assert pack(()) == 0 and unpack(0) == ()
+        for n in range(1, 13):
+            for parts in partitions(n):
+                key = pack(parts)
+                assert unpack(key) == parts
+                assert pack(parts[::-1]) == key
+                # the key of e_lambda e_mu is the sum of their keys
+                assert unpack(key + pack((n, 1, 1))) == tuple(
+                    sorted(parts + (n, 1, 1), reverse=True))
+
+    def test_newton_matches_sorted_tuple_reference(self):
+        for k, want in enumerate(newton_reference(20), 1):
+            got = p_to_e_packed(k)
+            assert len(got) == len(want)
+            assert {unpack(key): c for key, c in got} == want
+            assert p_to_e(k).terms == want
+
+    def test_expansion_is_immutable(self):
+        # p_to_e_packed hands one cached value to every caller
+        want = p_to_e_packed(3)
+        assert isinstance(want, tuple)
+        assert all(type(pair) is tuple for pair in want)
+        with pytest.raises(TypeError):
+            p_to_e_packed(3)[0] = (0, 0)
+        assert p_to_e_packed(3) == want
+
+    def test_digit_limit(self):
+        for k in (256, 300):
+            with pytest.raises(ValueError, match="up to 255"):
+                p_to_e_packed(k)
+            with pytest.raises(ValueError, match="up to 255"):
+                p_to_e(k)
+        with pytest.raises(ValueError):
+            p_to_e_packed(0)
 
 
 class TestSerialization:
