@@ -1,0 +1,131 @@
+"""Alternating parent/change runs of perfbench/run.py, summarised pair by pair.
+
+Usage, from the root of a source checkout, with a second checkout of the
+parent commit (for example made by ``git archive``) at PARENT:
+
+    python3 bench_pairs.py run --parent PARENT --workload oracle-sparse \
+        --seed 1 --pairs 10 --seconds 25 --log pairs.jsonl
+    python3 bench_pairs.py summary --log pairs.jsonl
+    python3 bench_pairs.py record --log pairs.jsonl --label L --change-note TEXT \
+        --parent-commit SHA --host TEXT --out BENCH_L.json
+
+``run`` starts one untraced ``perfbench/run.py`` at a time, in each checkout
+in turn, the side that runs first alternating from pair to pair, and appends
+each run's last output line to the log.  ``summary`` prints, per workload,
+seed and end-to-end metric, each side's median and quartiles and the number
+of pairs the change won.  ``record`` writes the first pair of every workload
+and seed in the format of the ``BENCH_*.json`` files.  Only the standard
+library is used, and neither checkout's files are changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+METRICS = ("setup_s", "wall_s", "instance_p50_s", "peak_rss_mb")  # all lower is better
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def cmd_run(args) -> None:
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    with open(args.log, "a") as log:
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_side(roots[side], args.workload, args.seed, args.seconds)
+                row = {"workload": args.workload, "seed": args.seed, "pair": pair,
+                       "side": side, "first": order[0], "result": result}
+                log.write(json.dumps(row) + "\n")
+                log.flush()
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{args.workload} seed {args.seed} pair {pair} {side}: "
+                      f"wall_s {wall:.4f} correct {result['correct']}", flush=True)
+
+
+def read_log(path: str) -> dict[tuple[str, int], dict[int, dict[str, dict]]]:
+    """{(workload, seed): {pair: {side: result}}}, complete pairs only."""
+    groups: dict[tuple[str, int], dict[int, dict[str, dict]]] = {}
+    with open(path) as fh:
+        for line in fh:
+            row = json.loads(line)
+            pairs = groups.setdefault((row["workload"], row["seed"]), {})
+            pairs.setdefault(row["pair"], {})[row["side"]] = row["result"]
+    return {key: {p: sides for p, sides in pairs.items() if len(sides) == 2}
+            for key, pairs in groups.items()}
+
+
+def cmd_summary(args) -> None:
+    for (workload, seed), pairs in sorted(read_log(args.log).items()):
+        fails = sum(r["failed"] + (not r["correct"]) for s in pairs.values() for r in s.values())
+        print(f"{workload} seed {seed}: {len(pairs)} pairs, {fails} failed or incorrect runs")
+        for metric in METRICS:
+            value = {side: [pairs[p][side]["metrics"][metric]["value"] for p in sorted(pairs)]
+                     for side in ("parent", "change")}
+            wins = sum(c < p for p, c in zip(value["parent"], value["change"]))
+            text = []
+            for side in ("parent", "change"):
+                vals = value[side]
+                q1, q2, q3 = (statistics.quantiles(vals, n=4) if len(vals) > 1
+                              else (vals[0],) * 3)
+                text.append(f"{side} {statistics.median(vals):.4f} ({q1:.4f}-{q3:.4f})")
+            change = statistics.median(value["change"]) / statistics.median(value["parent"]) - 1
+            print(f"  {metric:15s} {text[0]} -> {text[1]}  {change:+.1%}, "
+                  f"lower in {wins} of {len(pairs)}")
+
+
+def cmd_record(args) -> None:
+    runs = []
+    for (workload, seed), pairs in sorted(read_log(args.log).items()):
+        first = pairs[min(pairs)]
+        runs.append({"workload": workload, "seed": seed,
+                     "parent": first["parent"], "change": first["change"]})
+    record = {"label": args.label, "change": args.change_note, "parent": args.parent_commit,
+              "command": "python3 perfbench/run.py --workload W --seed S --seconds "
+                         f"{args.seconds:g}",
+              "host": args.host,
+              "note": "each record is the last line run.py printed, from the first pair of "
+                      "each workload and seed; see CHANGES.md for the repeated pairs",
+              "runs": runs}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run")
+    p_run.add_argument("--parent", required=True)
+    p_run.add_argument("--change", default=HERE)
+    p_run.add_argument("--workload", required=True)
+    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument("--pairs", type=int, default=10)
+    p_run.add_argument("--seconds", type=float, default=25)
+    p_run.add_argument("--log", required=True)
+    p_run.set_defaults(func=cmd_run)
+    p_sum = sub.add_parser("summary")
+    p_sum.add_argument("--log", required=True)
+    p_sum.set_defaults(func=cmd_summary)
+    p_rec = sub.add_parser("record")
+    for flag in ("--log", "--label", "--change-note", "--parent-commit", "--host", "--out"):
+        p_rec.add_argument(flag, required=True)
+    p_rec.add_argument("--seconds", type=float, default=25)
+    p_rec.set_defaults(func=cmd_record)
+    args = parser.parse_args(argv)
+    args.func(args)
+
+
+if __name__ == "__main__":
+    main()

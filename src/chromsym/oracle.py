@@ -33,26 +33,23 @@ block holds.  The independent sets of a core are weighed the same way.  A
 K_a is then a walk over a states, not 2^a, and a twin-free graph does the
 same work as a walk over single vertices.
 
-The memo holds integer e-coefficients, so no p-keyed table is ever built,
-and keys them by packed partitions (see :mod:`chromsym.symfunc`), one int
-each, so that the key of a product of e-monomials is the sum of their keys.
+The memo holds integer e-coefficients, keyed by packed partitions (see
+:mod:`chromsym.symfunc`), one int each, whose sum is the key of the product.
 At each set of vertices left, the signed e-coefficients of the remainders are
-summed per block size s, and each size's sum is multiplied once by
-p_to_e_packed(s) (Newton's identities), since p_{lambda + (s)} = p_s
-p_lambda: one int addition per pair of terms.  Zero coefficients are dropped
-before a value is stored.  The keys are unpacked once per component with
-edges, into one ESymFunc, and one e_1^m is built for the m isolated
-vertices.
+summed per block size s, as p_{lambda + (s)} = p_s p_lambda, and Newton's
+identity carries the sums down from the largest size one e_j at a time
+(p_sum_to_e), so no p_s is ever expanded.  Components of 256 vertices or
+more are refused before any work.
 
 X of what is left depends only on the induced subgraph G[rest], so the memo
 has two layers.  The first is keyed by the set rest itself, an int, and
 lives for one component.  On a miss, the second is keyed by the shape of
-rest: the adjacency rows of G[rest], relabelled 0..m-1 in vertex order, as a
-tuple of ints.  Two shapes are equal exactly when the induced labelled graphs
-are, so this layer is shared by every call: the arcs a cycle leaves are
-paths, and the small graphs of a verify sweep meet the same remainders again
-and again.  It is capped by the number of coefficients it holds, and cleared
-when it would go past the cap.
+rest: the adjacency rows of G[rest], relabelled 0..m-1 in vertex order, as
+bytes.  Two shapes are equal exactly when the induced labelled graphs are, so
+this layer is shared by every call: the arcs a cycle leaves are paths, and
+the small graphs of a verify sweep meet the same remainders again and again.
+It is capped by the number of coefficients it holds, and cleared when it
+would go past the cap.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from functools import lru_cache
 from math import comb
 
 from .graphs import Graph
-from .symfunc import ESymFunc, e_term, p_to_e_packed, unpack
+from .symfunc import ESymFunc, check_order, e_term, p_sum_to_e, unpack
 # unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
 from .symfunc import p_to_e  # noqa: F401
 
@@ -76,7 +73,7 @@ DEFAULT_EDGE_BUDGET = 24
 # it the memo is cleared, which costs only recomputation: each call still
 # finishes from its own memo.
 _SHARED_TERMS = 1 << 16
-_shared: dict[tuple[int, ...], dict[int, int]] = {}
+_shared: dict[bytes, dict[int, int]] = {}
 _shared_terms = 0
 
 
@@ -91,7 +88,7 @@ class EdgeBudgetError(Exception):
         self.limit = limit
 
 
-def _components(n: int, edges) -> list[list[int]]:
+def _components(n: int, edges) -> list[tuple[list[int], list[tuple[int, int]]]]:
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -101,12 +98,12 @@ def _components(n: int, edges) -> list[list[int]]:
         return x
 
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
+        parent[find(u)] = find(v)
+    groups: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(find(v), ([], []))[0].append(v)
+    for u, v in edges:
+        groups[find(u)][1].append((u, v))
     return sorted(groups.values())
 
 
@@ -114,6 +111,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
     """e-coefficients of X of the graph on vertices 0..k-1: the sum over its
     partitions into connected blocks B of prod c(B) p_|B|, taken top down
     over how many vertices of each class of twins are left."""
+    check_order(k)  # before any work: the walk alone can take minutes
     nbrs = [0] * k
     for u, v in edges:
         nbrs[u] |= 1 << v
@@ -141,6 +139,11 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
     for u, v in edges:
         adj[at[u]] |= 1 << at[v]
         adj[at[v]] |= 1 << at[u]
+    # shape() cuts the rows from one int, where each takes whole bytes
+    width = (k + 7) // 8
+    stride = 8 * width
+    packed = sum(row << stride * u for u, row in enumerate(adj))
+    spread = sum(1 << stride * u for u in range(k))
     # Permuting a class is an automorphism, so every key below is canonical:
     # within each class, the lowest vertices are the ones present.
     counts: dict[int, int] = {}
@@ -230,22 +233,24 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
                           touching + ban.bit_count() * (near & block).bit_count(),
                           frontier ^ ban, banned | ban))
 
-    def shape(rest: int) -> tuple[int, ...]:
+    def shape(rest: int) -> bytes:
         """The adjacency rows of G[rest], relabelled 0..m-1 in vertex order:
-        each run of consecutive vertices in rest shifts down as one."""
-        runs, verts = [], []
-        r = rest
+        byte 0 of every row, then byte 1, and so on.  Each run of vertices in
+        rest is one slice of the rows, and its columns shift in all at once."""
+        rows, m, runs, r = 0, 0, [], rest
         while r:
             low = (r & -r).bit_length() - 1
             run = r & ~(r + (1 << low))
-            runs.append((run, low - len(verts)))
-            verts += range(low, low + run.bit_count())
+            size = run.bit_count()
+            rows |= (packed >> stride * low & (1 << stride * size) - 1) << stride * m
+            runs.append((run * spread, low - m))
+            m += size
             r ^= run
-        rows = [adj[u] for u in verts]
-        out = [0] * len(verts)
-        for run, drop in runs:
-            out = [row | (a & run) >> drop for row, a in zip(out, rows)]
-        return tuple(out)
+        out = 0
+        for cols, drop in runs:
+            out |= (rows & cols) >> drop
+        data = out.to_bytes(m * width, "little")
+        return data[::width] if m <= 8 else b"".join([data[i::width] for i in range(m + 7 >> 3)])
 
     def rec(rest: int, n_edges: int) -> dict[int, int]:
         global _shared_terms
@@ -258,8 +263,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             out = memo[rest] = _shared[form]
             return out
         v = rest & -rest
-        # p_{lambda + (s,)} = p_s p_lambda, so the products over the blocks of
-        # one size s are summed first and multiplied by p_to_e_packed(s) once
+        # p_{lambda + (s,)} = p_s p_lambda: sum the products per block size s
         by_size: dict[int, dict[int, int]] = {}
         for block, inner, touching in blocks(rest):
             size = block.bit_count()
@@ -279,14 +283,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             acc = by_size.setdefault(size, {})
             for key, coef in rec(left, n_edges - touching).items():
                 acc[key] = acc.get(key, 0) + c * coef
-        out: dict[int, int] = {}
-        for size, acc in by_size.items():
-            factor = p_to_e_packed(size)
-            for k1, c1 in acc.items():
-                if c1:
-                    for k2, c2 in factor:
-                        out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-        out = {key: c for key, c in out.items() if c}
+        out = p_sum_to_e(by_size)
         _shared[form] = memo[rest] = out
         _shared_terms += len(out)
         if _shared_terms > _SHARED_TERMS:
@@ -303,23 +300,19 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
 def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     """Exact chromatic symmetric function of g in the e-basis.
 
-    Raises :class:`EdgeBudgetError` when g has more than max_edges edges.
-    The result is always integral and homogeneous of degree |V(g)|.
+    Raises :class:`EdgeBudgetError` when g has more than max_edges edges and
+    ValueError when a component has 256 vertices or more.  The result is
+    always integral and homogeneous of degree |V(g)|.
     """
     if g.edge_count > max_edges:
         raise EdgeBudgetError(g.edge_count, max_edges)
-    by_vertex: dict[int, list[tuple[int, int]]] = {}
-    for u, v in g.edges:
-        by_vertex.setdefault(u, []).append((u, v))
-        by_vertex.setdefault(v, []).append((u, v))
     comps = _components(g.n_vertices, g.edges)
     # each isolated vertex is a factor e_1: one product for all of them, as
     # every product sorts the keys anew
-    out = e_term((1,) * sum(len(comp) == 1 for comp in comps))
-    for comp in comps:
-        if len(comp) > 1:
+    out = e_term((1,) * sum(not edges for _, edges in comps))
+    for comp, edges in comps:
+        if edges:
             index = {v: i for i, v in enumerate(comp)}
-            local = sorted({(index[u], index[v])
-                            for w in comp for u, v in by_vertex[w]})
+            local = sorted((index[u], index[v]) for u, v in edges)
             out = out * ESymFunc(_e_coefficients(len(comp), local))
     return out

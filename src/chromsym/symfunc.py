@@ -14,9 +14,9 @@ cached values cannot be altered); operations return new values.
 Inner loops key partitions by one int instead: the multiplicity vector packed
 with a fixed digit, sum of m_i << DIGIT * (i - 1) for m_i parts equal to i
 (:func:`pack`, :func:`unpack`).  The key of e_lambda e_mu is then the sum of
-their keys, and e_1^m packs to m.  ``p_to_e_packed`` runs Newton's recurrence
-on such keys and plain int coefficients, keeping one immutable expansion per
-degree in a ``functools.cache``; ``p_to_e`` unpacks it into an ``ESymFunc``.
+their keys, and e_1^m packs to m.  ``p_sum_to_e`` takes a sum of power sums
+with such coefficients to the e-basis by Newton's identity; ``p_to_e_packed``
+is its cached single-degree case, which ``p_to_e`` unpacks.
 """
 
 from __future__ import annotations
@@ -239,40 +239,47 @@ def pack(parts: Iterable[int]) -> int:
 def unpack(key: int) -> Partition:
     """Weakly decreasing parts of a packed key."""
     parts: list[int] = []
-    part = 1
-    while key:
-        parts += [part] * (key & _DIGIT_MASK)
-        key >>= DIGIT
-        part += 1
-    return tuple(reversed(parts))
+    for part in range(1 + key.bit_length() // DIGIT, 0, -1):
+        parts += [part] * (key >> DIGIT * (part - 1) & _DIGIT_MASK)
+    return tuple(parts)
+
+
+def check_order(k: int) -> None:
+    """Raise ValueError if partitions of k may not fit packed keys."""
+    if k > _DIGIT_MASK:
+        raise ValueError(f"order {k} needs multiplicities up to {k}, past the "
+                         f"{DIGIT}-bit digit of packed keys: orders up to {_DIGIT_MASK} only")
+
+
+def p_sum_to_e(by_size: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
+    """Sum over s >= 1 of A_s p_s in the e-basis, for A_s = by_size[s] on
+    packed keys, with no zero coefficient.  By Newton's identity p_s =
+    (-1)^(s-1) s e_s + sum_{j<s} (-1)^(j-1) e_j p_{s-j}, it is B_0 for
+    B_s = A_s + sum_{j>=1} (-1)^(j-1) e_j B_{s+j}, carried down from the
+    largest size, with A_0 = 0 and each e_j in B_0 weighted j; times e_j
+    adds pack((j,)) to a key, so no p_s is ever expanded."""
+    check_order(top := max(by_size, default=0))
+    carried: list[dict[int, int]] = [{}] * (top + 1)  # B_s, once done
+    for s in range(top, -1, -1):
+        acc = dict(by_size.get(s, ())) if s else {}
+        for j in range(1, top - s + 1):
+            shift, weight = 1 << DIGIT * (j - 1), (-1) ** (j - 1) * (1 if s else j)
+            for key, c in carried[s + j].items():
+                acc[key + shift] = acc.get(key + shift, 0) + weight * c
+        carried[s] = {key: c for key, c in acc.items() if c}
+    return carried[0]
 
 
 @cache
 def p_to_e_packed(k: int) -> tuple[tuple[int, int], ...]:
     """Expansion of the power sum p_k in the e-basis, as (packed key,
-    coefficient) pairs with no zero coefficient.
-
-    Uses the Newton recurrence
-    p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i,
-    memoized; all coefficients are integers, summed as ints.
-    """
+    coefficient) pairs with no zero coefficient: :func:`p_sum_to_e` of p_k."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if k > _DIGIT_MASK:
-        raise ValueError(
-            f"p_{k} needs multiplicities up to {k}, past the {DIGIT}-bit digit "
-            f"of packed keys: orders up to {_DIGIT_MASK} only")
-    acc = {pack((k,)): (-1) ** (k - 1) * k}
-    for i in range(1, k):
-        sign = (-1) ** (k - 1 - i)
-        shift = pack((k - i,))  # times e_{k-i}
-        for key, c in p_to_e_packed(i):
-            acc[key + shift] = acc.get(key + shift, 0) + sign * c
-    return tuple((key, c) for key, c in acc.items() if c)
+    return tuple(p_sum_to_e({k: {0: 1}}).items())
 
 
 @cache
 def p_to_e(k: int) -> ESymFunc:
-    """Expansion of the power sum p_k in the e-basis: :func:`p_to_e_packed`
-    unpacked."""
+    """Expansion of the power sum p_k in the e-basis: :func:`p_to_e_packed` unpacked."""
     return ESymFunc({unpack(key): c for key, c in p_to_e_packed(k)})

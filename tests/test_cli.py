@@ -109,12 +109,14 @@ class TestOracleCmd:
         assert code == 2 and "line 2" in err
 
     def test_internal_error_exit_code(self, capsys):
-        # the oracle recurses one level per block removed, so a 1200-vertex
-        # path overflows the interpreter stack: a crash, not a user error
+        # a 1200-vertex component is past the 8-bit digit of packed keys, so
+        # the oracle refuses it before any work, and the refusal keeps the
+        # exit code of any ValueError raised inside the oracle
         code, _, err = run(capsys, "oracle", "--family", "path", "--n", "1200",
                            "--edge-budget", "5000")
         assert code == 4
-        assert err.startswith("internal error: RecursionError: ")
+        assert err.startswith("internal error: ValueError: order 1200 ")
+        assert "up to 255" in err
 
     def test_internal_key_error_is_not_usage_error(self, capsys, monkeypatch):
         # a KeyError raised inside the oracle is a fault, not a bad argument

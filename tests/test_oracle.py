@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chromsym import oracle
 from chromsym.families import FAMILIES, run_verification
+from chromsym.formulas import x_path
 from chromsym.graphs import (
     Graph,
     complete,
@@ -128,6 +129,43 @@ class TestBruteForce:
                 found |= {parts[0]} if parts and parts[0] else {
                     alias.name for alias in node.names}
         assert found == {"graphs", "symfunc"}, found
+
+    def test_one_newton_path(self):
+        # the block sum carries its sums through symfunc.p_sum_to_e, the one
+        # Newton implementation: the oracle may not use p_to_e_packed again
+        names = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert "p_sum_to_e" in names
+        assert "p_to_e_packed" not in names
+
+    def test_refuses_large_components_before_any_work(self, monkeypatch):
+        # K_{1,300} is past the 8-bit digit of packed keys; the twin-class
+        # walk alone would run for minutes before the sizes reached 256
+        def no_block_sum(by_size):
+            raise AssertionError("the block sum ran")
+
+        monkeypatch.setattr(oracle, "p_sum_to_e", no_block_sum)
+        clear_shared_memo()
+        star = Graph(301, frozenset((0, v) for v in range(1, 301)))
+        with pytest.raises(ValueError, match="order 301 .*up to 255"):
+            csf_bruteforce(star, 400)
+        assert not oracle._shared
+        # only components count: 150 disjoint edges are admitted
+        monkeypatch.undo()
+        matching = Graph(300, frozenset((2 * v, 2 * v + 1) for v in range(150)))
+        assert csf_bruteforce(matching, 150) == e_term((2,) * 150, 2 ** 150)
+
+    def test_path_30_matches_closed_form(self):
+        # p_s is never expanded, so a 30-vertex path costs a fraction of a
+        # second where expanding p_30 alone built 5604 terms
+        clear_shared_memo()
+        assert graph_x(path(30)) == x_path(30)
 
     def test_matches_literal_subset_sum(self):
         # the connected-block sum against the edge-subset sum it groups

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromsym.symfunc import (ESymFunc, e_term, one, p_to_e, p_to_e_packed, pack,
-                              unpack, zero)
+from chromsym.symfunc import (ESymFunc, e_term, one, p_sum_to_e, p_to_e, p_to_e_packed,
+                              pack, unpack, zero)
 
 
 def func_of_degree(n: int):
@@ -155,6 +155,9 @@ def newton_reference(top: int) -> list[dict[tuple[int, ...], int]]:
     return out
 
 
+REFERENCE = newton_reference(20)
+
+
 class TestPackedKeys:
     def test_round_trip(self):
         assert pack(()) == 0 and unpack(0) == ()
@@ -173,6 +176,33 @@ class TestPackedKeys:
             assert len(got) == len(want)
             assert {unpack(key): c for key, c in got} == want
             assert p_to_e(k).terms == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_carry_matches_sum_of_reference_products(self, rng):
+        # sum over s of A_s p_s by the carry, against each p_s of the
+        # sorted-tuple reference multiplied out term by term
+        top = rng.randint(1, 20)
+        by_size = {}
+        for s in rng.sample(range(1, top + 1), rng.randint(1, min(top, 5))):
+            by_size[s] = {pack(rng.choice(partitions(rng.randint(0, 6)))):
+                          rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+        want: dict[tuple[int, ...], int] = {}
+        for s, acc in by_size.items():
+            for k1, c1 in acc.items():
+                for k2, c2 in REFERENCE[s - 1].items():
+                    key = tuple(sorted(unpack(k1) + k2, reverse=True))
+                    want[key] = want.get(key, 0) + c1 * c2
+        got = p_sum_to_e(by_size)
+        assert all(c != 0 for c in got.values())
+        assert {unpack(key): c for key, c in got.items()} == {
+            key: c for key, c in want.items() if c}
+
+    def test_carry_of_nothing_is_zero(self):
+        assert p_sum_to_e({}) == {}
+        assert p_sum_to_e({3: {pack((1,)): 0}}) == {}
+        with pytest.raises(ValueError, match="up to 255"):
+            p_sum_to_e({256: {0: 1}})
 
     def test_expansion_is_immutable(self):
         # p_to_e_packed hands one cached value to every caller
