@@ -1,26 +1,23 @@
-"""Command-line front door.
+"""Command-line front door: ``chromsym COMMAND [--flag value | --flag=value ...]``.
 
-Subcommands:
-
-* ``expand``      evaluate a family's closed-form expansion
-* ``oracle``      brute-force X of a family instance or an edge-list file
-* ``positivity``  report the minimum e-coefficient and the e-positivity verdict
-* ``verify``      differential formula-vs-oracle sweep over a parameter grid
-* ``list-families``
+One table, COMMANDS, gives each command (expand, oracle, positivity, verify,
+list-families) its handler, summary and flags.  One loop parses argv from it,
+matching flags by their exact names, and ``-h`` prints help from it.
 
 Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error,
-3 edge-budget exceeded, 4 internal error (an unexpected exception).
+3 input too large (over the edge budget, or a component of 256 vertices or
+more), 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .families import FAMILIES, Family, get_family, run_verification
 from .graphs import parse_edge_list
 from .oracle import DEFAULT_EDGE_BUDGET, EdgeBudgetError, csf_bruteforce
-from .symfunc import ESymFunc
+from .symfunc import ESymFunc, OrderLimitError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -35,25 +32,6 @@ class UsageError(Exception):
     pass
 
 
-def _at_least(low: int):
-    """An argparse type for an int of at least low, so that argparse rejects
-    anything less as a usage error."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return integer
-
-
-def _add_family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", help="family tag (see list-families)")
-    for flag in PARAM_FLAGS:
-        parser.add_argument(f"--{flag}", type=int, default=None)
-    parser.add_argument("--parts", default=None,
-                        help="comma-separated clique sizes (kchain only)")
-
-
 def _family(tag: str) -> Family:
     try:
         return get_family(tag)
@@ -61,29 +39,26 @@ def _family(tag: str) -> Family:
         raise UsageError(exc.args[0]) from None
 
 
-def _collect_params(args: argparse.Namespace) -> tuple[Family, dict]:
+def _collect_params(args: SimpleNamespace) -> tuple[Family, dict]:
     if not args.family:
         raise UsageError("--family is required")
     fam = _family(args.family)
     params: dict = {}
-    for flag in PARAM_FLAGS:
+    for flag in (*PARAM_FLAGS, "parts"):
         value = getattr(args, flag)
         if value is None:
             continue
         if flag not in fam.params:
             raise UsageError(f"family {fam.tag!r} takes no parameter --{flag}")
         params[flag] = value
-    if args.parts is not None:
-        if "parts" not in fam.params:
-            raise UsageError(f"family {fam.tag!r} takes no parameter --parts")
+    if "parts" in params:
         try:
             params["parts"] = tuple(int(p) for p in args.parts.split(","))
         except ValueError:
             raise UsageError(f"could not parse --parts {args.parts!r}") from None
     missing = [p for p in fam.params if p not in params]
     if missing:
-        raise UsageError(
-            f"family {fam.tag!r} needs --" + ", --".join(missing))
+        raise UsageError(f"family {fam.tag!r} needs --" + ", --".join(missing))
     return fam, params
 
 
@@ -91,7 +66,7 @@ def _render(f: ESymFunc, fmt: str) -> str:
     return f.to_json() if fmt == "structured" else f.to_text()
 
 
-def _graph_input(args: argparse.Namespace):
+def _graph_input(args: SimpleNamespace):
     if args.graph is not None and args.family is not None:
         raise UsageError("give either --graph or --family, not both")
     if args.graph is not None:
@@ -122,15 +97,12 @@ def _evaluate(args) -> ESymFunc:
 
 
 def cmd_expand(args) -> int:
-    f = _evaluate(args)
-    print(_render(f, args.format))
+    print(_render(_evaluate(args), args.format))
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    g = _graph_input(args)
-    f = csf_bruteforce(g, args.edge_budget)
-    print(_render(f, args.format))
+    print(_render(csf_bruteforce(_graph_input(args), args.edge_budget), args.format))
     return EXIT_OK
 
 
@@ -147,8 +119,7 @@ def cmd_positivity(args) -> int:
         return EXIT_OK
     coeff, key = worst
     where = f"min coeff {coeff} at e[{','.join(map(str, key))}]"
-    print(f"e-positive ({where})" if f.is_e_positive()
-          else f"NOT e-positive ({where})")
+    print(f"e-positive ({where})" if f.is_e_positive() else f"NOT e-positive ({where})")
     return EXIT_OK
 
 
@@ -156,24 +127,16 @@ def cmd_verify(args) -> int:
     tags = sorted(FAMILIES) if args.family in (None, "all") else [args.family]
     for tag in tags:
         _family(tag)
-    failures = 0
-    skips = 0
-    total = 0
+    counts = {"pass": 0, "fail": 0, "skip": 0}
     for tag in tags:
         for rec in run_verification(tag, args.max_n, args.edge_budget):
-            total += 1
+            counts[rec.status] += 1
             label = " ".join(f"{k}={v}" for k, v in rec.params.items())
-            if rec.status == "pass":
-                print(f"PASS {tag} {label}")
-            elif rec.status == "skip":
-                skips += 1
-                print(f"SKIP {tag} {label}: {rec.detail}")
-            else:
-                failures += 1
-                print(f"FAIL {tag} {label}: {rec.detail}")
-    print(f"{total} instances: {total - failures - skips} passed, "
-          f"{failures} failed, {skips} skipped")
-    return EXIT_MISMATCH if failures else EXIT_OK
+            detail = "" if rec.status == "pass" else f": {rec.detail}"
+            print(f"{rec.status.upper()} {tag} {label}{detail}")
+    print(f"{sum(counts.values())} instances: {counts['pass']} passed, "
+          f"{counts['fail']} failed, {counts['skip']} skipped")
+    return EXIT_MISMATCH if counts["fail"] else EXIT_OK
 
 
 def cmd_list_families(_args) -> int:
@@ -185,64 +148,97 @@ def cmd_list_families(_args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chromsym",
-        description="Exact chromatic symmetric functions in the elementary basis.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# flag -> (kind, default, help).  A flag's one value is read by kind: str takes
+# any text, a tuple one of its items, int any int, an int any int at least it.
+REQUIRED = object()
+FLAGS = {
+    "graph": (str, None, "edge-list file"),
+    "family": (str, None, "family tag (see list-families); verify also takes all"),
+    **{p: (int, None, "family parameter") for p in PARAM_FLAGS},
+    "parts": (str, None, "comma-separated clique sizes (kchain only)"),
+    "format": (("text", "structured"), "text", "text or structured (default text)"),
+    "edge-budget": (0, DEFAULT_EDGE_BUDGET,
+                    f"most edges to brute-force (default {DEFAULT_EDGE_BUDGET})"),
+    "max-n": (1, REQUIRED, "largest family size parameter n to test (required)"),
+}
+FAMILY_FLAGS = ("family", *PARAM_FLAGS, "parts")
+COMMANDS = {  # command -> (handler, summary, flags)
+    "expand": (cmd_expand, "evaluate a closed-form expansion", (*FAMILY_FLAGS, "format")),
+    "oracle": (cmd_oracle, "brute-force X of a graph",
+               ("graph", *FAMILY_FLAGS, "format", "edge-budget")),
+    "positivity": (cmd_positivity, "e-positivity verdict",
+                   ("graph", *FAMILY_FLAGS, "edge-budget")),
+    "verify": (cmd_verify, "formula-vs-oracle differential sweep",
+               ("family", "max-n", "edge-budget")),
+    "list-families": (cmd_list_families, "list known families", ()),
+}
 
-    p_expand = sub.add_parser("expand", help="evaluate a closed-form expansion")
-    _add_family_flags(p_expand)
-    p_expand.add_argument("--format", choices=("text", "structured"),
-                          default="text")
-    p_expand.set_defaults(func=cmd_expand)
 
-    p_oracle = sub.add_parser("oracle", help="brute-force X of a graph")
-    p_oracle.add_argument("--graph", help="edge-list file")
-    _add_family_flags(p_oracle)
-    p_oracle.add_argument("--format", choices=("text", "structured"),
-                          default="text")
-    p_oracle.add_argument("--edge-budget", type=_at_least(0),
-                          default=DEFAULT_EDGE_BUDGET)
-    p_oracle.set_defaults(func=cmd_oracle)
+def _help(command: str | None) -> str:
+    """Usage text of chromsym, listing the commands, or of a command, its flags."""
+    if command is None:
+        title = "Exact chromatic symmetric functions in the elementary basis."
+        rows = [(name, summary) for name, (_, summary, _) in COMMANDS.items()]
+    else:
+        _, title, flags = COMMANDS[command]
+        rows = [(f"--{flag} " + ("TEXT" if kind is str or isinstance(kind, tuple) else "INT"),
+                 text) for flag in flags for kind, _, text in [FLAGS[flag]]]
+    return "\n".join([f"usage: chromsym {command or 'COMMAND'} [--flag value | --flag=value ...]",
+                      "", title, ""] + [f"  {left:<18} {right}" for left, right in rows])
 
-    p_pos = sub.add_parser("positivity", help="e-positivity verdict")
-    p_pos.add_argument("--graph", help="edge-list file")
-    _add_family_flags(p_pos)
-    p_pos.add_argument("--edge-budget", type=_at_least(0),
-                       default=DEFAULT_EDGE_BUDGET)
-    p_pos.set_defaults(func=cmd_positivity)
 
-    p_verify = sub.add_parser(
-        "verify", help="formula-vs-oracle differential sweep")
-    p_verify.add_argument("--family",
-                          help="family tag, or 'all' for every family")
-    p_verify.add_argument("--max-n", type=_at_least(1), required=True,
-                          help="largest family size parameter n to test")
-    p_verify.add_argument("--edge-budget", type=_at_least(0),
-                          default=DEFAULT_EDGE_BUDGET)
-    p_verify.set_defaults(func=cmd_verify)
+def _read(flag: str, text: str):
+    kind = FLAGS[flag][0]
+    if kind is str or isinstance(kind, tuple) and text in kind:
+        return text
+    if isinstance(kind, tuple):
+        raise UsageError(f"--{flag}: must be one of {', '.join(kind)}, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"--{flag}: not an integer: {text!r}") from None
+    if kind is not int and value < kind:
+        raise UsageError(f"--{flag}: must be at least {kind}, got {value}")
+    return value
 
-    p_list = sub.add_parser("list-families", help="list known families")
-    p_list.set_defaults(func=cmd_list_families)
 
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The flags of argv's command, each named with _ for -, and its handler as
+    func; None when argv asks for help, which is printed here."""
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        print(_help(None))
+        return None
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    func, _, flags = COMMANDS[command]
+    values = {flag: FLAGS[flag][1] for flag in flags}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            return None
+        flag, eq, text = token[2:].partition("=")
+        if not token.startswith("--") or flag not in values:
+            raise UsageError(f"{command} takes no argument {token.split('=')[0]!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"--{flag} needs a value")
+        values[flag] = _read(flag, text)
+    missing = [f"--{flag}" for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        raise UsageError(f"{command} needs " + ", ".join(missing))
+    return SimpleNamespace(func=func, **{f.replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except UsageError as exc:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if args is None else args.func(args)
+    except (UsageError, EdgeBudgetError, OrderLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EdgeBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_BUDGET
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

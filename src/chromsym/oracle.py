@@ -111,7 +111,6 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
     """e-coefficients of X of the graph on vertices 0..k-1: the sum over its
     partitions into connected blocks B of prod c(B) p_|B|, taken top down
     over how many vertices of each class of twins are left."""
-    check_order(k)  # before any work: the walk alone can take minutes
     nbrs = [0] * k
     for u, v in edges:
         nbrs[u] |= 1 << v
@@ -300,13 +299,14 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
 def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     """Exact chromatic symmetric function of g in the e-basis.
 
-    Raises :class:`EdgeBudgetError` when g has more than max_edges edges and
-    ValueError when a component has 256 vertices or more.  The result is
-    always integral and homogeneous of degree |V(g)|.
+    Raises :class:`EdgeBudgetError` when g has more than max_edges edges and,
+    before any work, OrderLimitError (a ValueError) when a component has 256
+    vertices or more.  The result is always integral and homogeneous of degree |V(g)|.
     """
     if g.edge_count > max_edges:
         raise EdgeBudgetError(g.edge_count, max_edges)
     comps = _components(g.n_vertices, g.edges)
+    check_order(max((len(comp) for comp, _ in comps), default=0))
     # each isolated vertex is a factor e_1: one product for all of them, as
     # every product sorts the keys anew
     out = e_term((1,) * sum(not edges for _, edges in comps))

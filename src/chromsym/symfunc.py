@@ -244,11 +244,15 @@ def unpack(key: int) -> Partition:
     return tuple(parts)
 
 
+class OrderLimitError(ValueError):
+    """Raised for an order whose partitions may not fit packed keys."""
+
+
 def check_order(k: int) -> None:
-    """Raise ValueError if partitions of k may not fit packed keys."""
+    """Raise OrderLimitError if partitions of k may not fit packed keys."""
     if k > _DIGIT_MASK:
-        raise ValueError(f"order {k} needs multiplicities up to {k}, past the "
-                         f"{DIGIT}-bit digit of packed keys: orders up to {_DIGIT_MASK} only")
+        raise OrderLimitError(f"order {k} needs multiplicities up to {k}, past the {DIGIT}-bit "
+                              f"digit of packed keys: orders up to {_DIGIT_MASK} only")
 
 
 def p_sum_to_e(by_size: Mapping[int, Mapping[int, int]]) -> dict[int, int]:

@@ -1,8 +1,12 @@
 """CLI behavior: output formats, exit codes, verification sweeps."""
 
 import json
+import os
+import subprocess
+import sys
 
-from chromsym.cli import main
+import chromsym
+from chromsym.cli import PARAM_FLAGS, main, parse_args
 from chromsym.families import FAMILIES, Family
 from chromsym.formulas import x_kpkp
 from chromsym.graphs import complete, format_edge_list, path, tadpole, twin
@@ -108,14 +112,14 @@ class TestOracleCmd:
         code, _, err = run(capsys, "oracle", "--graph", str(f))
         assert code == 2 and "line 2" in err
 
-    def test_internal_error_exit_code(self, capsys):
+    def test_order_limit_exit_code(self, capsys):
         # a 1200-vertex component is past the 8-bit digit of packed keys, so
-        # the oracle refuses it before any work, and the refusal keeps the
-        # exit code of any ValueError raised inside the oracle
+        # the oracle refuses it before any work: an input too large, like one
+        # over the edge budget, not an internal error
         code, _, err = run(capsys, "oracle", "--family", "path", "--n", "1200",
                            "--edge-budget", "5000")
-        assert code == 4
-        assert err.startswith("internal error: ValueError: order 1200 ")
+        assert code == 3
+        assert err.startswith("error: order 1200 ")
         assert "up to 255" in err
 
     def test_internal_key_error_is_not_usage_error(self, capsys, monkeypatch):
@@ -242,3 +246,84 @@ class TestListFamilies:
 
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2
+
+
+# the flags each command takes, and a value each accepts
+ACCEPTED = {
+    "expand": ("family", *PARAM_FLAGS, "parts", "format"),
+    "oracle": ("graph", "family", *PARAM_FLAGS, "parts", "format", "edge-budget"),
+    "positivity": ("graph", "family", *PARAM_FLAGS, "parts", "edge-budget"),
+    "verify": ("family", "max-n", "edge-budget"),
+    "list-families": (),
+}
+VALUES = {"graph": "g.txt", "family": "kpkp", "parts": "3,2", "format": "structured",
+          "edge-budget": 30, "max-n": 5, **{p: i for i, p in enumerate(PARAM_FLAGS)}}
+
+
+class TestParser:
+    def test_every_flag_of_every_command(self):
+        for command, flags in ACCEPTED.items():
+            spaced, joined = [command], [command]
+            for flag in flags:
+                spaced += [f"--{flag}", str(VALUES[flag])]
+                joined.append(f"--{flag}={VALUES[flag]}")
+            want = {flag.replace("-", "_"): VALUES[flag] for flag in flags}
+            for argv in (spaced, joined):
+                args = vars(parse_args(argv))
+                assert args.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+                assert args == want
+
+    def test_defaults(self):
+        args = vars(parse_args(["oracle"]))
+        del args["func"]
+        assert args == {"graph": None, "family": None, **{p: None for p in PARAM_FLAGS},
+                        "parts": None, "format": "text", "edge_budget": 24}
+        args = parse_args(["verify", "--max-n", "3"])
+        assert (args.family, args.max_n, args.edge_budget) == (None, 3, 24)
+
+    def test_refusals_exit_2(self, capsys):
+        for argv, want in (
+                (("positivity", "--graph", "g.txt", "--format", "text"),
+                 "positivity takes no argument '--format'"),
+                (("expand", "--graph=g.txt"), "expand takes no argument '--graph'"),
+                (("expand", "--fam", "path", "--n", "4"), "expand takes no argument '--fam'"),
+                (("expand", "--family", "path", "4"), "expand takes no argument '4'"),
+                (("list-families", "--family", "path"), "takes no argument '--family'"),
+                (("mystery",), "expected a command"),
+                (("--family", "path"), "expected a command"),
+                (("expand", "--family", "path", "--n"), "--n needs a value"),
+                (("expand", "--family", "--n", "4"), "--family needs a value"),
+                (("expand", "--family", "path", "--n", "four"), "--n: not an integer: 'four'"),
+                (("oracle", "--family", "path", "--n", "4", "--edge-budget=1.5"),
+                 "--edge-budget: not an integer"),
+                (("expand", "--family", "path", "--n", "4", "--format", "xml"),
+                 "--format: must be one of text, structured, got 'xml'"),
+                (("verify", "--family", "path"), "verify needs --max-n"),
+                (("verify", "--max-n=0"), "--max-n: must be at least 1, got 0")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and want in err, (argv, err)
+
+    def test_help_lists_commands_and_flags(self, capsys):
+        for flag in ("-h", "--help"):
+            code, out, err = run(capsys, flag)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: chromsym COMMAND")
+            for command in ACCEPTED:
+                assert f"\n  {command} " in out
+            for command, flags in ACCEPTED.items():
+                # help is printed before the family would be looked up
+                code, out, err = run(capsys, command, flag, "--family", "mystery")
+                assert (code, err) == (0, "")
+                assert out.startswith(f"usage: chromsym {command} ")
+                listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+                assert listed == {f"--{f}" for f in flags}
+
+    def test_import_and_call_load_no_argparse(self):
+        code = ("import sys, chromsym.cli\n"
+                "assert chromsym.cli.main(['oracle', '--family', 'path', '--n', '5']) == 0\n"
+                "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(chromsym.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.splitlines()[-1] == "[]"
