@@ -5,8 +5,8 @@ list-families) its handler, summary and flags.  One loop parses argv from it,
 matching flags by their exact names, and ``-h`` prints help from it.
 
 Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error,
-3 input too large (over the edge budget, or a component of 256 vertices or
-more), 4 internal error (an unexpected exception).
+3 input too large (over the edge budget, more than 65536 vertices, or a
+component of 256 vertices or more), 4 internal error (an unexpected exception).
 """
 
 from __future__ import annotations

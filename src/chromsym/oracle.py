@@ -13,11 +13,18 @@ by the connected blocks they span gives
           prod c(B) p_|B|,
 
 where c(B) is the signed count of the connected spanning subgraphs of G[B].
-The partitions are walked top down, memoized on the set of vertices left, and
-c(B) comes from peeling pendant vertices and a memoized sum over the
-independent sets of the core that remains.  Nothing here touches composition
-statistics or any closed-form evaluator, which keeps this module an
-independent oracle for them.
+The partitions are walked top down, memoized on the set of vertices left.
+c(B) = (-1)^(|B|-1) T_B(1,0) (Greene-Zaslavsky 1983) is memoized on the
+vertex set of B and found in this order: pendant vertices are peeled, each
+flipping the sign; a cycle C_m has (-1)^(m-1) (m-1) and a clique K_m
+(-1)^(m-1) (m-1)!; at a cut vertex u, c is the product of c over the pieces
+B - u splits into, each with u put back; any other core, a 2-connected
+graph such as a theta graph, is a sum over its independent sets.  Every
+piece is an induced subgraph, so one memo keyed by vertex masks serves all
+four, and a cycle, a kayak paddle or an infinity graph of order 40 costs
+milliseconds of c(B), where the independent sets of a 40-cycle number over
+10^8.  Nothing here touches composition statistics or any closed-form
+evaluator, which keeps this module an independent oracle for them.
 
 The walk runs over classes of twins, vertices u and v with N(u) - v =
 N(v) - u, such as the vertices of a clique apart from its attachments, or
@@ -55,14 +62,18 @@ would go past the cap.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .graphs import Graph
-from .symfunc import ESymFunc, check_order, e_term, p_sum_to_e, unpack
+from .symfunc import ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e, unpack
 # unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
 from .symfunc import p_to_e  # noqa: F401
 
 DEFAULT_EDGE_BUDGET = 24
+# Splitting a graph into components takes a few hundred bytes per vertex, so
+# 2**16 vertices cost about 20 MB: a vertex count read from a file is refused
+# past it, before anything is allocated per vertex.
+_MAX_VERTICES = 1 << 16
 
 # X of an induced subgraph depends on nothing else, so the block sum shares
 # the e-coefficients of each set of vertices left across calls, keyed by its
@@ -148,18 +159,20 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
     counts: dict[int, int] = {}
     memo: dict[int, dict[int, int]] = {}
 
-    def connected(mask: int) -> bool:
+    def component(mask: int) -> int:
+        """The vertices of mask that G[mask] connects to its lowest one."""
         seen = todo = mask & -mask
         while todo:
             low = todo & -todo
             new = adj[low.bit_length() - 1] & mask & ~seen
             seen |= new
             todo = (todo ^ low) | new
-        return seen == mask
+        return seen
 
     def signed_count(block: int) -> int:
-        """c(block) for a canonical connected block, by pendant peeling and a
-        sum over the core that remains."""
+        """c(block) for a connected block, by pendant peeling, then closed
+        forms for a cycle and a clique, a split at a cut vertex, and a sum
+        over the core that remains."""
         if block & (block - 1) == 0:
             return 1
         if block in counts:
@@ -183,6 +196,27 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
         if core != block:
             counts[block] = sign * signed_count(core)
             return counts[block]
+        # c(G) = (-1)^(|V|-1) T_G(1,0) (Greene-Zaslavsky 1983), which gives
+        # closed forms for cycles and cliques and a product over the blocks
+        m = len(deg)
+        if all(d == 2 for d in deg.values()):
+            counts[block] = (-1) ** (m - 1) * (m - 1)
+            return counts[block]
+        if all(d == m - 1 for d in deg.values()):
+            counts[block] = (-1) ** (m - 1) * factorial(m - 1)
+            return counts[block]
+        # A core has no pendant vertex, so a leaf of its block-cut tree is
+        # 2-connected and meets the rest at a vertex of degree 3 or more:
+        # only those are tried as cut vertices.
+        for u, d in deg.items():
+            if d > 2 and component(rest := block ^ 1 << u) != rest:
+                c = 1
+                while rest:
+                    piece = component(rest)
+                    c *= signed_count(piece | 1 << u)
+                    rest ^= piece
+                counts[block] = c
+                return c
         # The signed sum over all edge subsets of the core is 0.  Grouped by
         # the component of the lowest vertex, it gives c(core) = -sum of
         # c(core - I) over the nonempty independent sets I avoiding that
@@ -195,7 +229,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
         while stack:
             chosen, left = stack.pop()
             if not left:
-                if chosen and connected(block ^ chosen):
+                if chosen and component(block ^ chosen) == block ^ chosen:
                     c = signed_count(block ^ chosen)
                     for mask in multi:
                         s = (chosen & mask).bit_count()
@@ -300,11 +334,15 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     """Exact chromatic symmetric function of g in the e-basis.
 
     Raises :class:`EdgeBudgetError` when g has more than max_edges edges and,
-    before any work, OrderLimitError (a ValueError) when a component has 256
-    vertices or more.  The result is always integral and homogeneous of degree |V(g)|.
+    before any work, OrderLimitError (a ValueError) when g has more than 2**16
+    vertices or a component has 256 or more.  The result is always integral
+    and homogeneous of degree |V(g)|.
     """
     if g.edge_count > max_edges:
         raise EdgeBudgetError(g.edge_count, max_edges)
+    if g.n_vertices > _MAX_VERTICES:
+        raise OrderLimitError(f"graph has {g.n_vertices} vertices, past the oracle's limit "
+                              f"of {_MAX_VERTICES}")
     comps = _components(g.n_vertices, g.edges)
     check_order(max((len(comp) for comp, _ in comps), default=0))
     # each isolated vertex is a factor e_1: one product for all of them, as

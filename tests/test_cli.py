@@ -122,6 +122,20 @@ class TestOracleCmd:
         assert err.startswith("error: order 1200 ")
         assert "up to 255" in err
 
+    def test_vertex_limit_exit_code(self, capsys, tmp_path):
+        # a vertex count alone is refused before one list per vertex is
+        # built: 10^12 raised MemoryError, and 3*10^6 took about 1 GB
+        for n in (10 ** 12, 3 * 10 ** 6, 2 ** 16 + 1):
+            f = tmp_path / "huge.txt"
+            f.write_text(f"{n}\n")
+            for command in ("oracle", "positivity"):
+                code, out, err = run(capsys, command, "--graph", str(f))
+                assert code == 3 and out == ""
+                assert err == f"error: graph has {n} vertices, past the oracle's limit of 65536\n"
+        f.write_text(f"{2 ** 16}\n0 1\n")
+        code, out, _ = run(capsys, "oracle", "--graph", str(f))
+        assert code == 0 and out.strip() == "2*e[2" + ",1" * (2 ** 16 - 2) + "]"
+
     def test_internal_key_error_is_not_usage_error(self, capsys, monkeypatch):
         # a KeyError raised inside the oracle is a fault, not a bad argument
         from chromsym import oracle

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_formulas
+from chromsym.compositions import rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
     x_cycle,
@@ -309,6 +310,29 @@ def test_matches_enumerative_reference(tag):
     reference = getattr(reference_formulas, fam.evaluate.__name__)
     for params in fam.grid(11):
         assert fam.evaluate(**params) == reference(**params), params
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_every_composition_coefficient_is_nonnegative(tag, monkeypatch):
+    # The paper claims c_K >= 0 for every composition K in X = sum c_K e_K,
+    # which is stronger than e-positivity: rho merges compositions into
+    # partitions only afterwards.  Total the reference's terms by K.
+    fam = FAMILIES[tag]
+    reference = getattr(reference_formulas, fam.evaluate.__name__)
+    emit = reference_formulas._emit
+    totals = {}
+
+    def emit_and_total(acc, parts, coeff):
+        totals[parts] = totals.get(parts, 0) + coeff
+        emit(acc, parts, coeff)
+
+    monkeypatch.setattr(reference_formulas, "_emit", emit_and_total)
+    for params in fam.grid(10):
+        totals.clear()
+        x = reference(**params)
+        negative = {K: c for K, c in totals.items() if c < 0}
+        assert not negative, (params, negative)
+        assert {rho(K) for K, c in totals.items() if c} == set(x.terms), params
 
 
 @pytest.mark.parametrize("build, formula, args, max_edges", [

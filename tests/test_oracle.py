@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from chromsym import oracle
 from chromsym.families import FAMILIES, run_verification
-from chromsym.formulas import x_path
+from chromsym.formulas import x_cycle, x_infinity, x_kayak, x_path
 from chromsym.graphs import (
     Graph,
     complete,
     conjoin,
     cycle,
     disjoint_union,
+    infinity,
     kayak,
     kpk,
     lollipop,
@@ -235,6 +236,48 @@ class TestBruteForce:
         x = csf_bruteforce(star, 19)
         for k in (2, 3, 4):
             assert x.evaluate_at([1] * k) == k * (k - 1) ** 19
+
+
+class TestSignedCount:
+    """c(B) past pendant peeling: closed forms for a cycle and a clique, a
+    product over the pieces at a cut vertex, and the independent-set sum for
+    any other 2-connected core."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cycles(self, n):
+        clear_shared_memo()
+        check_literal(n, cycle(n).edges)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cliques(self, n):
+        clear_shared_memo()
+        check_literal(n, complete(n).edges)
+
+    @pytest.mark.parametrize("n, edges", [
+        # two triangles sharing a vertex
+        (5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
+        # two triangles joined through a vertex of degree 2
+        (7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]),
+        (10, kayak(4, 5, 2).edges),
+        # no cut vertex, neither cycle nor clique: the independent-set sum
+        (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        # a theta graph: vertices 0 and 1 joined by paths of 2, 3 and 4 edges
+        (8, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4), (0, 5), (5, 6), (6, 7), (1, 7)]),
+    ], ids=["bowtie", "triangles_via_degree_2", "kayak4_5_2", "k4_minus_edge", "theta"])
+    def test_cut_vertices_and_two_connected_cores(self, n, edges):
+        clear_shared_memo()
+        check_literal(n, edges)
+
+    @pytest.mark.parametrize("build, formula, args", [
+        (cycle, x_cycle, (40,)),
+        (infinity, x_infinity, (15, 15)),
+        (kayak, x_kayak, (12, 12, 6)),
+    ], ids=["cycle40", "infinity15_15", "kayak12_12_6"])
+    def test_cycle_bearing_graphs_match_closed_form(self, build, formula, args):
+        # past the edge budget; the independent-set sum over a 40-cycle has
+        # over 10^8 leaves, where the closed form for a cycle is one step
+        clear_shared_memo()
+        assert graph_x(build(*args)) == formula(*args)
 
 
 def check_literal(n: int, edges) -> None:
