@@ -7,7 +7,6 @@ differential verification.
 """
 
 from .compositions import (
-    composition_sum,
     compositions_min2,
     gap,
     rho,
@@ -53,6 +52,7 @@ from .oracle import (
     csf_bruteforce,
 )
 from .formulas import (
+    composition_sum,
     x_cycle,
     x_infinity,
     x_kayak,

@@ -5,8 +5,8 @@ list-families) its handler, summary and flags.  One loop parses argv from it,
 matching flags by their exact names, and ``-h`` prints help from it.
 
 Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error,
-3 input too large (over the edge budget, more than 65536 vertices, or a
-component of 256 vertices or more), 4 internal error (an unexpected exception).
+3 input too large (past the edge budget, 65536 vertices, a component of 256
+vertices, 255 equal parts or 2^20 expansion terms), 4 internal error.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def _evaluate(args) -> ESymFunc:
     fam, params = _collect_params(args)
     try:
         return fam.evaluate(**params)
+    except OrderLimitError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

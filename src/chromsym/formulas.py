@@ -4,10 +4,11 @@ Every evaluator returns the full chromatic symmetric function (prefactors
 multiplied back in) as an exact :class:`~chromsym.symfunc.ESymFunc`.  The
 expansions are sums over integer compositions, weighted by the statistics of
 :mod:`chromsym.compositions`.  They are evaluated by the prefix-sum DP
-:func:`~chromsym.compositions.composition_sum`, whose work grows with the
-number of partitions of n, not with the 2^(n-1) compositions.  Each
-evaluator supplies a step that weighs one part p starting at offset s, and
-every statistic is settled at a single step:
+:func:`composition_sum`, whose work grows with the number of partitions of
+n, not with the 2^(n-1) compositions; like the oracle, it keys partitions
+as packed ints (:func:`~chromsym.symfunc.pack`).  Each evaluator supplies a
+step that weighs one part p starting at offset s, and every statistic is
+settled at a single step:
 
 * w takes p from the first part (s == 0) and p - 1 from every later part;
 * the part straddling a position x is the one with s < x <= s + p, so
@@ -35,20 +36,72 @@ Conventions:
 from __future__ import annotations
 
 from math import factorial
+from typing import Callable, Hashable, Iterable
 
 # perfbench's tracer wraps w, theta, theta_minus, gap and rho here by name: keep them importable.
-from .compositions import (
-    Composition,
-    composition_sum,
-    gap,
-    rho,
-    theta,
-    theta_minus,
-    w,
-)
-from .symfunc import ESymFunc
+from .compositions import Composition, gap, rho, theta, theta_minus, w
+from .symfunc import DIGIT, DIGIT_MASK, ESymFunc, OrderLimitError, pack, unpack
 
-Acc = dict[tuple[int, ...], int]
+Acc = dict[int, int]
+
+# An expansion whose kernel layers hold more terms than this after an offset is refused.
+MAX_TERMS = 2**20
+
+
+def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]],
+                    start: Hashable) -> Acc:
+    """Sum over the compositions of n of a product of per-part factors, by partition.
+
+    A composition is read part by part, carrying a small state that starts at
+    `start`.  A part p starting at offset s (the sum of the parts before it)
+    is offered as ``step(state, s, p)``, which returns the ``(new_state,
+    coeff)`` pairs it leads to: none, or a zero coeff, drops the composition,
+    and several split it into summands.  The coefficient of a composition is
+    the product of the coeffs along its path, credited to the partition of
+    its parts.  Steps ending at n must return only states whose composition
+    is complete.
+
+    Compositions with the same prefix sum, state and partition are merged, so
+    the work grows with the number of partitions of n times the number of
+    states, not with the 2^(n-1) compositions.  Partitions are packed keys
+    (:func:`~chromsym.symfunc.pack`), so adding a part adds its key.  The
+    result maps packed keys to their totals, without zero entries.  Raises
+    OrderLimitError past 255 equal parts or MAX_TERMS terms after an offset.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    # layers[s]: state -> {packed partition of s: coefficient}
+    layers: list[dict] = [{} for _ in range(n + 1)]
+    layers[0][start] = {0: 1}
+    held = 1  # terms in the layers not yet read
+    for s in range(n):
+        for state, poly in layers[s].items():
+            held -= len(poly)
+            for p in range(1, n - s + 1):
+                pairs = [pair for pair in step(state, s, p) if pair[1]]
+                if not pairs:
+                    continue
+                shift = 1 << DIGIT * (p - 1)  # pack((p,))
+                # a partition of s holds at most s // p parts p
+                if s >= DIGIT_MASK * p and any(key // shift & DIGIT_MASK == DIGIT_MASK
+                                               for key in poly):
+                    raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
+                                          "a partition, past the digit of packed keys")
+                target = layers[s + p]
+                for new_state, coeff in pairs:
+                    out = target.setdefault(new_state, {})
+                    held -= len(out)
+                    for key, c in poly.items():
+                        key += shift
+                        out[key] = out.get(key, 0) + coeff * c
+                    held += len(out)
+        layers[s] = {}
+        if held > MAX_TERMS:
+            raise OrderLimitError(f"order {n} holds more than {MAX_TERMS} terms after offset {s}")
+    total: Acc = {}
+    for poly in layers[n].values():
+        _add(total, poly)
+    return {key: c for key, c in total.items() if c}
 
 
 def _wf(s: int, p: int) -> int:
@@ -63,15 +116,16 @@ def _product_sum(n: int, factor) -> Acc:
 
 def _add(acc: Acc, poly: Acc, extra: Composition = ()) -> Acc:
     """Add poly into acc, with the parts of `extra` joined to every partition."""
+    shift = pack(extra)
     for key, c in poly.items():
-        key = rho(key + extra)
+        key += shift
         acc[key] = acc.get(key, 0) + c
     return acc
 
 
 def _finish(acc: Acc, degree: int, prefactor: int = 1,
             require_positive: bool = False) -> ESymFunc:
-    terms = {key: c * prefactor for key, c in acc.items() if c != 0}
+    terms = {unpack(key): c * prefactor for key, c in acc.items() if c != 0}
     for key, c in terms.items():
         if c.denominator != 1:
             raise AssertionError(f"non-integer coefficient {c} at e{list(key)}")
@@ -221,7 +275,7 @@ def x_kpk_b3(a: int, l: int) -> ESymFunc:
         if (s + p == n and (p < a or p == n - 2)) or (i == 1 and p < 3):
             return ()
         return ((min(i + 1, 2), _wf(s, p)),)
-    acc = _add({(n - 2, 2): n - 4}, composition_sum(n, step, 0))
+    acc = _add({pack((n - 2, 2)): n - 4}, composition_sum(n, step, 0))
     return _finish(acc, n, 2 * factorial(a - 1))
 
 
@@ -239,7 +293,7 @@ def x_pkp(g: int, a: int, h: int) -> ESymFunc:
         if s < x <= s + p < x + a - 1:
             return 0
         return (a - 2) * p if s + p == n else _wf(s, p)
-    acc = _add({(n,): a - 1}, _product_sum(n, f2))
+    acc = _add({pack((n,)): a - 1}, _product_sum(n, f2))
     _add(acc, _product_sum(n, lambda s, p: _wf(s, p) if s + p < n else max(p - a + 1, 0)))
     return _finish(acc, n, factorial(a - 2))
 
@@ -352,7 +406,7 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
         if near and p <= min(a - 1, b - 2):
             coeff -= f3
         return coeff
-    acc = _add({(n,): (b - 1) * n}, _kpkp_sum(n, a, b, h, last))
+    acc = _add({pack((n,)): (b - 1) * n}, _kpkp_sum(n, a, b, h, last))
     return _finish(acc, n, factorial(a - 1) * factorial(b - 2),
                    require_positive=True)
 

@@ -15,8 +15,8 @@ Inner loops key partitions by one int instead: the multiplicity vector packed
 with a fixed digit, sum of m_i << DIGIT * (i - 1) for m_i parts equal to i
 (:func:`pack`, :func:`unpack`).  The key of e_lambda e_mu is then the sum of
 their keys, and e_1^m packs to m.  ``p_sum_to_e`` takes a sum of power sums
-with such coefficients to the e-basis by Newton's identity; ``p_to_e_packed``
-is its cached single-degree case, which ``p_to_e`` unpacks.
+with such coefficients to the e-basis by Newton's identity; ``p_to_e`` is
+its cached single-degree case, unpacked.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def e_term(parts: Iterable[int], coeff: Scalar = 1) -> ESymFunc:
 # equal parts, so keys are exact for partitions of k < 256; p_k for k >= 256
 # would have p(256) ~ 3.7e14 terms anyway, and is refused.
 DIGIT = 8
-_DIGIT_MASK = (1 << DIGIT) - 1
+DIGIT_MASK = (1 << DIGIT) - 1
 
 
 def pack(parts: Iterable[int]) -> int:
@@ -240,19 +240,19 @@ def unpack(key: int) -> Partition:
     """Weakly decreasing parts of a packed key."""
     parts: list[int] = []
     for part in range(1 + key.bit_length() // DIGIT, 0, -1):
-        parts += [part] * (key >> DIGIT * (part - 1) & _DIGIT_MASK)
+        parts += [part] * (key >> DIGIT * (part - 1) & DIGIT_MASK)
     return tuple(parts)
 
 
 class OrderLimitError(ValueError):
-    """Raised for an order whose partitions may not fit packed keys."""
+    """Raised for an order too large: past packed keys or an expansion's term cap."""
 
 
 def check_order(k: int) -> None:
     """Raise OrderLimitError if partitions of k may not fit packed keys."""
-    if k > _DIGIT_MASK:
+    if k > DIGIT_MASK:
         raise OrderLimitError(f"order {k} needs multiplicities up to {k}, past the {DIGIT}-bit "
-                              f"digit of packed keys: orders up to {_DIGIT_MASK} only")
+                              f"digit of packed keys: orders up to {DIGIT_MASK} only")
 
 
 def p_sum_to_e(by_size: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
@@ -275,15 +275,8 @@ def p_sum_to_e(by_size: Mapping[int, Mapping[int, int]]) -> dict[int, int]:
 
 
 @cache
-def p_to_e_packed(k: int) -> tuple[tuple[int, int], ...]:
-    """Expansion of the power sum p_k in the e-basis, as (packed key,
-    coefficient) pairs with no zero coefficient: :func:`p_sum_to_e` of p_k."""
+def p_to_e(k: int) -> ESymFunc:
+    """Expansion of the power sum p_k in the e-basis: :func:`p_sum_to_e` of p_k, unpacked."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return tuple(p_sum_to_e({k: {0: 1}}).items())
-
-
-@cache
-def p_to_e(k: int) -> ESymFunc:
-    """Expansion of the power sum p_k in the e-basis: :func:`p_to_e_packed` unpacked."""
-    return ESymFunc({unpack(key): c for key, c in p_to_e_packed(k)})
+    return ESymFunc({unpack(key): c for key, c in p_sum_to_e({k: {0: 1}}).items()})

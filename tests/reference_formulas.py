@@ -4,7 +4,7 @@ Each evaluator here walks every composition (2^(n-1) of them for order n)
 and applies the filter and weight of its expansion to one composition at a
 time: the definitions written out literally.  :mod:`chromsym.formulas`
 evaluates the same sums with the prefix-sum kernel
-:func:`chromsym.compositions.composition_sum`; the tests compare the two.
+:func:`chromsym.formulas.composition_sum`; the tests compare the two.
 Keep this module as it is: it is the slow, obvious form that the fast one
 is checked against, practical up to order 14 or so.
 

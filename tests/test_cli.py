@@ -51,6 +51,13 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--family", "mystery", "--n", "4")
         assert code == 2 and "unknown family" in err
 
+    def test_term_cap_exit_code(self, capsys):
+        # path(200) would grow without bound; the kernel refuses it past
+        # MAX_TERMS terms, as an input too large rather than a usage error
+        code, out, err = run(capsys, "expand", "--family", "path", "--n", "200")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "terms" in err
+
     def test_bad_parameter_value(self, capsys):
         code, _, err = run(capsys, "expand", "--family", "path", "--n", "0")
         assert code == 2 and "error" in err

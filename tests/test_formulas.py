@@ -16,6 +16,7 @@ import reference_formulas
 from chromsym.compositions import rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
+    composition_sum,
     x_cycle,
     x_infinity,
     x_kayak,
@@ -53,7 +54,7 @@ from chromsym.graphs import (
     tw_path,
 )
 from chromsym.oracle import csf_bruteforce
-from chromsym.symfunc import e_term
+from chromsym.symfunc import OrderLimitError, e_term, pack
 from reference_formulas import f123_check
 from reference_oracle import x_tw_lollipop_rec, x_tw_path_rec
 
@@ -95,10 +96,19 @@ class TestPathsAndCycles:
         with pytest.raises(ValueError):
             x_cycle(1)
 
+    def test_kernel_refuses_only_a_full_digit(self):
+        # the all-ones composition: 255 parts 1 fill one digit of the packed key
+        def ones(state, s, p):
+            return ((state, 1),) if p == 1 else ()
+        assert composition_sum(255, ones, None) == {pack((1,) * 255): 1} == {255: 1}
+        with pytest.raises(OrderLimitError, match="more than 255 parts 1"):
+            composition_sum(256, ones, None)
+
 
 class TestKChains:
     def test_single_part_is_complete_graph(self):
-        for n in range(2, 7):
+        # 300 is past the 255 equal parts a packed key holds, but K_300 has one part
+        for n in (*range(2, 7), 300):
             assert x_kchain((n,)) == e_term((n,), math.factorial(n))
 
     def test_all_twos_is_path(self):

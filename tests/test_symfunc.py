@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromsym.symfunc import (ESymFunc, e_term, one, p_sum_to_e, p_to_e, p_to_e_packed,
+from chromsym.symfunc import (ESymFunc, e_term, one, p_sum_to_e, p_to_e,
                               pack, unpack, zero)
 
 
@@ -172,9 +172,6 @@ class TestPackedKeys:
 
     def test_newton_matches_sorted_tuple_reference(self):
         for k, want in enumerate(newton_reference(20), 1):
-            got = p_to_e_packed(k)
-            assert len(got) == len(want)
-            assert {unpack(key): c for key, c in got} == want
             assert p_to_e(k).terms == want
 
     @settings(max_examples=60, deadline=None)
@@ -205,22 +202,19 @@ class TestPackedKeys:
             p_sum_to_e({256: {0: 1}})
 
     def test_expansion_is_immutable(self):
-        # p_to_e_packed hands one cached value to every caller
-        want = p_to_e_packed(3)
-        assert isinstance(want, tuple)
-        assert all(type(pair) is tuple for pair in want)
+        # p_to_e hands one cached value to every caller
+        want = p_to_e(3)
+        assert p_to_e(3) is want
         with pytest.raises(TypeError):
-            p_to_e_packed(3)[0] = (0, 0)
-        assert p_to_e_packed(3) == want
+            want.terms[(3,)] = 0
+        assert want == e_term((1, 1, 1)) - e_term((2, 1), 3) + e_term((3,), 3)
 
     def test_digit_limit(self):
         for k in (256, 300):
             with pytest.raises(ValueError, match="up to 255"):
-                p_to_e_packed(k)
-            with pytest.raises(ValueError, match="up to 255"):
                 p_to_e(k)
-        with pytest.raises(ValueError):
-            p_to_e_packed(0)
+        with pytest.raises(ValueError, match="must be positive"):
+            p_to_e(0)
 
 
 class TestSerialization:
