@@ -7,6 +7,7 @@ differential verification.
 """
 
 from .compositions import (
+    ParameterError,
     compositions_min2,
     gap,
     rho,

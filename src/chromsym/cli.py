@@ -4,9 +4,11 @@ One table, COMMANDS, gives each command (expand, oracle, positivity, verify,
 list-families) its handler, summary and flags.  One loop parses argv from it,
 matching flags by their exact names, and ``-h`` prints help from it.
 
-Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error,
-3 input too large (past the edge budget, 65536 vertices, a component of 256
-vertices, 255 equal parts or 2^20 expansion terms), 4 internal error.
+Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error
+(a bad flag, an unreadable edge list, or family parameters out of range, which
+the families raise as ParameterError), 3 input too large (past the edge
+budget, 65536 vertices, a component of 256 vertices, 255 equal parts or 2^20
+expansion terms), 4 internal error, including any other ValueError.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
+from .compositions import ParameterError
 from .families import FAMILIES, Family, get_family, run_verification
 from .graphs import parse_edge_list
 from .oracle import DEFAULT_EDGE_BUDGET, EdgeBudgetError, csf_bruteforce
@@ -82,19 +85,15 @@ def _graph_input(args: SimpleNamespace):
     fam, params = _collect_params(args)
     try:
         return fam.build_graph(**params)
-    except ValueError as exc:
+    except ParameterError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _evaluate(args) -> ESymFunc:
-    # a ValueError raised inside an evaluator is still taken for a rejected
-    # parameter, since the families check their parameters there
     fam, params = _collect_params(args)
     try:
         return fam.evaluate(**params)
-    except OrderLimitError:
-        raise
-    except ValueError as exc:
+    except ParameterError as exc:
         raise UsageError(str(exc)) from None
 
 

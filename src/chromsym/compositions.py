@@ -25,6 +25,11 @@ from typing import Iterator
 Composition = tuple[int, ...]
 Partition = tuple[int, ...]
 
+
+class ParameterError(ValueError):
+    """Raised for graph-family parameters out of range: the caller's error, not the package's."""
+
+
 # Remainders up to this size are finished from a table built once per call,
 # so only the prefixes of larger remainders go through the stack.
 _TAIL = 8

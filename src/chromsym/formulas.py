@@ -19,10 +19,20 @@ settled at a single step:
 * the first part, and whatever else a later step needs, rides in the state.
 
 Fractional weights are summed multiplied by the factors of w they divide,
-so every coefficient is an integer; a finishing check asserts that the
-combined result is integral (and e-positive where a sum is subtracted).
+so every coefficient is an integer; a finishing check asserts that every
+result is e-positive, which all the families are.
 The per-composition definitions are kept in ``tests/reference_formulas.py``
 and checked against these evaluators.
+
+Four evaluators are special cases, as the paper's KPKP and kayak-paddle
+expansions generalize earlier ones; each checks its parameters and makes one
+call: ``x_lollipop(a, l) = x_kpk(a, 1, l)`` (K_a^l = K_a + P_{l+1} + K_1),
+``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``, ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``
+and ``x_infinity(a, b) = x_kayak(a, b, 0)``.  ``x_kpk`` and ``x_kpk_b3`` keep
+their own forms: through KPKP an order-30 KPK chain holds up to 409 times the
+kernel terms (median 3.6 times) and takes 2.4 times as long at order 20, and
+``x_kpkp_b3(a, l, 0)`` holds 1.4 to 2.2 times the terms of ``x_kpk_b3(a, l)``
+and takes 1.6 times as long at order 40.
 
 Conventions:
 
@@ -39,7 +49,7 @@ from math import factorial
 from typing import Callable, Hashable, Iterable
 
 # perfbench's tracer wraps w, theta, theta_minus, gap and rho here by name: keep them importable.
-from .compositions import Composition, gap, rho, theta, theta_minus, w
+from .compositions import Composition, ParameterError, gap, rho, theta, theta_minus, w
 from .symfunc import DIGIT, DIGIT_MASK, ESymFunc, OrderLimitError, pack, unpack
 
 Acc = dict[int, int]
@@ -123,14 +133,14 @@ def _add(acc: Acc, poly: Acc, extra: Composition = ()) -> Acc:
     return acc
 
 
-def _finish(acc: Acc, degree: int, prefactor: int = 1,
-            require_positive: bool = False) -> ESymFunc:
-    terms = {unpack(key): c * prefactor for key, c in acc.items() if c != 0}
-    for key, c in terms.items():
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer coefficient {c} at e{list(key)}")
-        if require_positive and c < 0:
-            raise AssertionError(f"negative coefficient {c} at e{list(key)}")
+def _finish(acc: Acc, degree: int, prefactor: int = 1) -> ESymFunc:
+    """The ESymFunc of prefactor * acc, asserting that it is e-positive."""
+    terms = {}
+    for key, c in acc.items():
+        if c < 0:
+            raise AssertionError(f"negative coefficient {c * prefactor} at e{list(unpack(key))}")
+        if c:
+            terms[unpack(key)] = c * prefactor
     return ESymFunc(terms, degree)
 
 
@@ -141,7 +151,7 @@ def _finish(acc: Acc, degree: int, prefactor: int = 1,
 def x_path(n: int) -> ESymFunc:
     """X of the path on n vertices: sum of w_I e_I over compositions I of n."""
     if n < 1:
-        raise ValueError(f"needs n >= 1, got {n}")
+        raise ParameterError(f"needs n >= 1, got {n}")
     return _finish(_product_sum(n, _wf), n)
 
 
@@ -153,7 +163,7 @@ def x_cycle(n: int) -> ESymFunc:
     edge).
     """
     if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
+        raise ParameterError(f"needs n >= 2, got {n}")
     return _finish(_product_sum(n, lambda s, p: (p - 1) * p if s == 0 else p - 1), n)
 
 
@@ -168,7 +178,7 @@ def x_kchain(parts: Composition) -> ESymFunc:
     """
     I = tuple(parts)
     if not I or any(p < 2 for p in I):
-        raise ValueError(f"needs a nonempty composition with parts >= 2, got {I}")
+        raise ParameterError(f"needs a nonempty composition with parts >= 2, got {I}")
     n = sum(I)
     length = len(I)
     order = n - length + 1
@@ -204,15 +214,13 @@ def x_kchain(parts: Composition) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_lollipop(a: int, l: int) -> ESymFunc:
-    """X of the lollipop K_a^l: (a-1)! times the sum of w_I e_I over i_{-1} >= a.
+    """X of the lollipop K_a^l, which is the chain K_a + P_{l+1} + K_1.
 
     a = 1 is allowed and degenerates to the path on l + 1 vertices.
     """
     if a < 1 or l < 0:
-        raise ValueError(f"needs a >= 1 and l >= 0, got {(a, l)}")
-    n = a + l
-    return _finish(_product_sum(n, lambda s, p: _wf(s, p) if s + p < n or p >= a else 0),
-                   n, factorial(a - 1))
+        raise ParameterError(f"needs a >= 1 and l >= 0, got {(a, l)}")
+    return x_kpk(a, 1, l)
 
 
 def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
@@ -222,7 +230,7 @@ def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
     (a - k - 1)(i_{-1} - 1) when it is at least a.
     """
     if a < 2 or l < 0 or not 0 <= k <= a - 1:
-        raise ValueError(
+        raise ParameterError(
             f"needs a >= 2, l >= 0, 0 <= k <= a-1, got {(a, l, k)}")
     n = a + l
 
@@ -247,7 +255,7 @@ def x_kpk(a: int, b: int, l: int) -> ESymFunc:
     "first", then i_1 while i_2 is pending, then "w".
     """
     if a < 1 or b < 1 or l < 0:
-        raise ValueError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
+        raise ParameterError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
 
     def step(state, s, p):
@@ -268,7 +276,7 @@ def x_kpk_b3(a: int, l: int) -> ESymFunc:
     The state counts the parts read, up to 2: a second part must be >= 3.
     """
     if a < 3 or l < 0:
-        raise ValueError(f"needs a >= 3 and l >= 0, got {(a, l)}")
+        raise ParameterError(f"needs a >= 3 and l >= 0, got {(a, l)}")
     n = a + l + 2
 
     def step(i, s, p):
@@ -280,48 +288,17 @@ def x_kpk_b3(a: int, l: int) -> ESymFunc:
 
 
 def x_pkp(g: int, a: int, h: int) -> ESymFunc:
-    """X of the chain P_{g+1} + K_a + P_{h+1} (order g + a + h).
-
-    (a - 1) e_n, plus f2 over theta_I(h+1) >= a - 1, plus f3 over i_{-1} >= a - 1.
-    """
+    """X of the chain P_{g+1} + K_a + P_{h+1}, which is K_1 + P_{g+1} + K_a + P_{h+1}."""
     if g < 0 or h < 0 or a < 2:
-        raise ValueError(f"needs g, h >= 0 and a >= 2, got {(g, a, h)}")
-    n = g + a + h
-    x = h + 1
-
-    def f2(s, p):
-        if s < x <= s + p < x + a - 1:
-            return 0
-        return (a - 2) * p if s + p == n else _wf(s, p)
-    acc = _add({pack((n,)): a - 1}, _product_sum(n, f2))
-    _add(acc, _product_sum(n, lambda s, p: _wf(s, p) if s + p < n else max(p - a + 1, 0)))
-    return _finish(acc, n, factorial(a - 2))
+        raise ParameterError(f"needs g, h >= 0 and a >= 2, got {(g, a, h)}")
+    return x_kpkp(1, g, a, h)
 
 
 def x_kkp(a: int, b: int, h: int) -> ESymFunc:
-    """X of the chain K_a + K_b + P_{h+1}.
-
-    f1 over i_{-1} >= n - h, and -f3 or +f3 over i_{-1} + i_{-2} >= n - h, that
-    is over compositions whose second-to-last part starts at <= h; the state
-    says whether the part just read started there.  One of the three sums is
-    subtracted; positivity holds only for the total and is asserted on it.
-    """
+    """X of the chain K_a + K_b + P_{h+1}, which is K_a + P_1 + K_b + P_{h+1}."""
     if a < 1 or b < 2 or h < 0:
-        raise ValueError(f"needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
-    n = a + b + h - 1
-
-    def step(prev_near, s, p):
-        if s + p < n:
-            return ((s <= h, _wf(s, p)),)
-        coeff = (b - 1) * _wf(s, p) if p >= n - h else 0
-        if prev_near:
-            if p <= min(a - 1, b - 2):
-                coeff -= p - b + 1
-            elif max(a, b) <= p <= n - h - 1:
-                coeff += p - b + 1
-        return ((None, coeff),)
-    return _finish(composition_sum(n, step, False), n,
-                   factorial(a - 1) * factorial(b - 2), require_positive=True)
+        raise ParameterError(f"needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
+    return x_kpkp(a, 0, b, h)
 
 
 def x_kpc(a: int, l: int, c: int) -> ESymFunc:
@@ -333,7 +310,7 @@ def x_kpc(a: int, l: int, c: int) -> ESymFunc:
     state is i_1 until i_2 is read, then 0.
     """
     if a < 1 or l < 0 or c < 2:
-        raise ValueError(f"needs a >= 1, l >= 0, c >= 2, got {(a, l, c)}")
+        raise ParameterError(f"needs a >= 1, l >= 0, c >= 2, got {(a, l, c)}")
     n = a + l + c - 1
     x = a + l
 
@@ -384,10 +361,10 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
 
     Five composition sums plus the (b-1) n e_n head term; the single-part
     composition contributes only to the head term.  One f3 sum is subtracted,
-    so positivity is asserted on the total.
+    so positivity holds only for the total.
     """
     if a < 1 or b < 2 or g < 0 or h < 0:
-        raise ValueError(f"needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
+        raise ParameterError(f"needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
     n = a + g + b + h - 1
 
     def last(s, p, high, prev_big, near):
@@ -407,14 +384,13 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
             coeff -= f3
         return coeff
     acc = _add({pack((n,)): (b - 1) * n}, _kpkp_sum(n, a, b, h, last))
-    return _finish(acc, n, factorial(a - 1) * factorial(b - 2),
-                   require_positive=True)
+    return _finish(acc, n, factorial(a - 1) * factorial(b - 2))
 
 
 def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
     """X of K_a + P_{g+1} + K_3 + P_{h+1} in its condensed three-sum form."""
     if a < 1 or g < 0 or h < 0:
-        raise ValueError(f"needs a >= 1 and g, h >= 0, got {(a, g, h)}")
+        raise ParameterError(f"needs a >= 1 and g, h >= 0, got {(a, g, h)}")
     n = a + g + h + 2
 
     def last(s, p, high, prev_big, near):
@@ -440,7 +416,7 @@ def x_tw_path(n: int, l: int) -> ESymFunc:
     overshoot t <= 2 (that part's overshoot at l + t is k - 1).
     """
     if n < 3 or not 2 <= l <= n - 1:
-        raise ValueError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
+        raise ParameterError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
 
     def overshoot_at_least_3(x: int, min_part: int):
         return lambda s, p: 0 if p < min_part or s < x <= s + p < x + 3 else _wf(s, p)
@@ -469,7 +445,7 @@ def x_tw_cycle(n: int) -> ESymFunc:
     4 (i_1^2 - 3 i_1 + 1).
     """
     if n < 3:
-        raise ValueError(f"needs n >= 3, got {n}")
+        raise ParameterError(f"needs n >= 3, got {n}")
 
     def total(m: int, first, last_min: int = 1) -> Acc:
         return _product_sum(m, lambda s, p: (0 if s + p == m and p < last_min
@@ -489,7 +465,7 @@ def x_tw_lollipop(a: int, l: int, h: int) -> ESymFunc:
     right after the one reaching h + 2, since t3 = k - 1 there.
     """
     if a < 1 or l < 2 or not 1 <= h <= l - 1:
-        raise ValueError(f"needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
+        raise ParameterError(f"needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
     n = a + l + 1
 
     def big_last(state, s, p):  # i_{-1} >= a; theta_K(h) >= 3 or theta_K(h) == 2
@@ -535,7 +511,7 @@ def x_kayak(a: int, b: int, l: int) -> ESymFunc:
     of w they divide.
     """
     if a < 3 or b < 3 or l < 0:
-        raise ValueError(f"needs a, b >= 3 and l >= 0, got {(a, b, l)}")
+        raise ParameterError(f"needs a, b >= 3 and l >= 0, got {(a, b, l)}")
     n = a + b + l - 1
     x = a + l
 
@@ -587,39 +563,7 @@ def x_kayak(a: int, b: int, l: int) -> ESymFunc:
 
 
 def x_infinity(a: int, b: int) -> ESymFunc:
-    """X of two cycles of sizes a and b sharing a vertex.
-
-    Keyed on the first part against theta_I(a) and the straddling part I(a);
-    whole terms are skipped when theta_I(a) = 0 since the base weight
-    vanishes there (and only there can I(a) drop below 2).  The state is i_1
-    until the straddling part is read, then 0; for 2 <= i_1 <= a - 1 the
-    factor i_1 of w waits for it, so that the fractional weights are summed
-    as integers.
-    """
+    """X of two cycles of sizes a and b sharing a vertex: the kayak paddle with l = 0."""
     if a < 3 or b < 3:
-        raise ValueError(f"needs a, b >= 3, got {(a, b)}")
-    n = a + b - 1
-
-    def step(i1, s, p):
-        end = s + p
-        if s == 0:
-            i1, coeff = p, (a - 1) * p if p >= a else 1
-        else:
-            coeff = p - 1
-            if not coeff:
-                return ()
-        if not s < a <= end:
-            return ((i1, coeff),)
-        t, tm = end - a, a - s
-        if i1 >= a:
-            coeff *= t
-        elif i1 == 1:
-            coeff *= tm * t
-        elif i1 <= t or i1 == p:
-            coeff = t * i1 * ((tm - 1) * (p - 1) + p - i1)
-        elif p + 1 <= i1:
-            coeff = t * (i1 * (i1 - p) * (p - 1) + (tm - 1) * (i1 * (p - 1) + p * (i1 - 1)))
-        else:
-            return ()
-        return ((0, coeff),)
-    return _finish(composition_sum(n, step, 0), n)
+        raise ParameterError(f"needs a, b >= 3, got {(a, b)}")
+    return x_kayak(a, b, 0)

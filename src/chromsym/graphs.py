@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition
+from .compositions import Composition, ParameterError
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ Piece = RootedGraph | DoubleRootedGraph
 def path(n: int) -> Graph:
     """The path P_n on n vertices (n - 1 edges)."""
     if n < 1:
-        raise ValueError(f"path needs n >= 1, got {n}")
+        raise ParameterError(f"path needs n >= 1, got {n}")
     return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """The cycle C_n; n >= 3 so the graph stays simple."""
     if n < 3:
-        raise ValueError(f"cycle needs n >= 3 for a simple graph, got {n}")
+        raise ParameterError(f"cycle needs n >= 3 for a simple graph, got {n}")
     return graph_from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
@@ -189,9 +189,9 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def k_chain(parts: Composition) -> Graph:
     """Chain of cliques K_{i_1} + ... + K_{i_l}; every part must be >= 2."""
     if not parts:
-        raise ValueError("k_chain needs at least one part")
+        raise ParameterError("k_chain needs at least one part")
     if any(p < 2 for p in parts):
-        raise ValueError(f"k_chain parts must all be >= 2, got {parts}")
+        raise ParameterError(f"k_chain parts must all be >= 2, got {parts}")
     return chain(*(rooted_complete(p) for p in parts))
 
 
@@ -203,20 +203,20 @@ def _lollipop_base(a: int, l: int) -> Graph:
 def lollipop(a: int, l: int) -> Graph:
     """Clique K_a with a pendant path of length l at its center (vertex a-1)."""
     if a < 2:
-        raise ValueError(f"lollipop needs a >= 2, got {a}")
+        raise ParameterError(f"lollipop needs a >= 2, got {a}")
     if l < 0:
-        raise ValueError(f"lollipop needs l >= 0, got {l}")
+        raise ParameterError(f"lollipop needs l >= 0, got {l}")
     return _lollipop_base(a, l)
 
 
 def melting_lollipop(a: int, l: int, k: int) -> Graph:
     """Lollipop with k clique edges at the center removed (lowest-index neighbors first)."""
     if a < 2:
-        raise ValueError(f"melting lollipop needs a >= 2, got {a}")
+        raise ParameterError(f"melting lollipop needs a >= 2, got {a}")
     if l < 0:
-        raise ValueError(f"melting lollipop needs l >= 0, got {l}")
+        raise ParameterError(f"melting lollipop needs l >= 0, got {l}")
     if not 0 <= k <= a - 1:
-        raise ValueError(f"melting lollipop needs 0 <= k <= a-1, got k={k}")
+        raise ParameterError(f"melting lollipop needs 0 <= k <= a-1, got k={k}")
     base = _lollipop_base(a, l)
     center = a - 1
     removed = {(j, center) for j in range(k)}
@@ -226,28 +226,28 @@ def melting_lollipop(a: int, l: int, k: int) -> Graph:
 def kpk(a: int, b: int, l: int) -> Graph:
     """Clique - path - clique chain K_a + P_{l+1} + K_b."""
     if a < 1 or b < 1 or l < 0:
-        raise ValueError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
+        raise ParameterError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
     return chain(rooted_complete(a), rooted_path(l + 1), rooted_complete(b))
 
 
 def pkp(g: int, a: int, h: int) -> Graph:
     """Path - clique - path chain P_{g+1} + K_a + P_{h+1}."""
     if g < 0 or h < 0 or a < 2:
-        raise ValueError(f"pkp needs g, h >= 0 and a >= 2, got {(g, a, h)}")
+        raise ParameterError(f"pkp needs g, h >= 0 and a >= 2, got {(g, a, h)}")
     return chain(rooted_path(g + 1), rooted_complete(a), rooted_path(h + 1))
 
 
 def kkp(a: int, b: int, h: int) -> Graph:
     """Clique - clique - path chain K_a + K_b + P_{h+1}."""
     if a < 1 or b < 2 or h < 0:
-        raise ValueError(f"kkp needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
+        raise ParameterError(f"kkp needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
     return chain(rooted_complete(a), rooted_complete(b), rooted_path(h + 1))
 
 
 def kpkp(a: int, g: int, b: int, h: int) -> Graph:
     """Clique - path - clique - path chain K_a + P_{g+1} + K_b + P_{h+1}."""
     if a < 1 or b < 2 or g < 0 or h < 0:
-        raise ValueError(
+        raise ParameterError(
             f"kpkp needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
     return chain(rooted_complete(a), rooted_path(g + 1),
                  rooted_complete(b), rooted_path(h + 1))
@@ -256,7 +256,7 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
 def kpc(a: int, l: int, c: int) -> Graph:
     """Clique joined to a cycle by a path: K_a + P_{l+1} + C_c."""
     if a < 1 or l < 0 or c < 3:
-        raise ValueError(
+        raise ParameterError(
             f"kpc needs a >= 1, l >= 0, c >= 3, got {(a, l, c)}")
     return chain(rooted_complete(a), rooted_path(l + 1), rooted_cycle(c))
 
@@ -269,7 +269,7 @@ def tadpole(c: int, l: int) -> Graph:
 def kayak(a: int, b: int, l: int) -> Graph:
     """Kayak paddle: cycles C_a and C_b joined by a path of length l."""
     if a < 3 or b < 3 or l < 0:
-        raise ValueError(
+        raise ParameterError(
             f"kayak needs a, b >= 3 and l >= 0, got {(a, b, l)}")
     return chain(rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b))
 
@@ -277,7 +277,7 @@ def kayak(a: int, b: int, l: int) -> Graph:
 def infinity(a: int, b: int) -> Graph:
     """Two cycles sharing a vertex (the kayak paddle with path length 0)."""
     if a < 3 or b < 3:
-        raise ValueError(f"infinity needs a, b >= 3, got {(a, b)}")
+        raise ParameterError(f"infinity needs a, b >= 3, got {(a, b)}")
     return kayak(a, b, 0)
 
 
@@ -302,14 +302,14 @@ def twin(g: Graph, v: int) -> Graph:
 def tw_path(n: int, l: int) -> Graph:
     """Path P_n = v_1 ... v_n twinned at the interior vertex v_l (2 <= l <= n-1)."""
     if n < 3 or not 2 <= l <= n - 1:
-        raise ValueError(f"tw_path needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
+        raise ParameterError(f"tw_path needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
     return twin(path(n), l - 1)
 
 
 def tw_cycle(n: int) -> Graph:
     """Cycle C_n twinned at a vertex."""
     if n < 3:
-        raise ValueError(f"tw_cycle needs n >= 3, got {n}")
+        raise ParameterError(f"tw_cycle needs n >= 3, got {n}")
     return twin(cycle(n), 0)
 
 
@@ -319,7 +319,7 @@ def tw_lollipop(a: int, l: int, h: int) -> Graph:
     Requires 1 <= h <= l-1 so the twinned vertex is interior to the path.
     """
     if a < 1 or l < 2 or not 1 <= h <= l - 1:
-        raise ValueError(
+        raise ParameterError(
             f"tw_lollipop needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
     base = _lollipop_base(a, l)
     leaf = a + l - 1

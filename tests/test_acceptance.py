@@ -21,7 +21,6 @@ from chromsym.compositions import (
 )
 from chromsym.families import FAMILIES, run_verification
 from chromsym.formulas import (
-    x_kkp,
     x_kpk,
     x_lollipop,
     x_pkp,
@@ -42,6 +41,7 @@ from chromsym.graphs import (
 )
 from chromsym.oracle import csf_bruteforce
 from chromsym.symfunc import e_term, p_to_e
+import reference_formulas
 from reference_formulas import f123_check, remove_part
 from reference_oracle import (
     triple_deletion_check,
@@ -156,10 +156,12 @@ def test_criterion_6_specialization_suite():
                             assert full == x_lollipop(a, g + h + 1), (a, g, h)
                         if h == 0:
                             assert full == x_kpk(a, b, g), (a, g, b)
+                        # x_kkp and x_pkp are evaluated by x_kpkp, so g == 0
+                        # and a == 1 are checked against their published forms
                         if g == 0:
-                            assert full == x_kkp(a, b, h), (a, b, h)
+                            assert full == reference_formulas.x_kkp(a, b, h), (a, b, h)
                         if a == 1:
-                            assert full == x_pkp(g, b, h), (g, b, h)
+                            assert full == reference_formulas.x_pkp(g, b, h), (g, b, h)
                         if a == 2:
                             assert full == x_pkp(g + 1, b, h), (g, b, h)
                         checked += 1

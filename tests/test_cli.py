@@ -62,6 +62,21 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--family", "path", "--n", "0")
         assert code == 2 and "error" in err
 
+    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
+        # kkp is evaluated by the KPKP sum: a ValueError raised there is a
+        # fault, while a parameter out of range stays a usage error
+        from chromsym import formulas
+
+        def broken(*args):
+            raise ValueError("bad state")
+
+        monkeypatch.setattr(formulas, "_kpkp_sum", broken)
+        code, out, err = run(capsys, "expand", "--family", "kkp", "--a", "2", "--b", "3", "--h", "1")
+        assert code == 4 and out == "" and err == "internal error: ValueError: bad state\n"
+        code, out, err = run(capsys, "expand", "--family", "kkp", "--a", "0", "--b", "3", "--h", "1")
+        assert code == 2 and out == ""
+        assert err == "error: needs a >= 1, b >= 2, h >= 0, got (0, 3, 1)\n"
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "expand", "--family", "kpk", "--a", "2")
         assert code == 2 and "--b" in err
@@ -169,6 +184,17 @@ class TestOracleCmd:
         code, _, err = run(capsys, "oracle", "--family", "path", "--n", "5")
         assert code == 4
         assert err.startswith("internal error: ValueError: ")
+
+    def test_internal_graph_error_is_not_usage_error(self, capsys, monkeypatch):
+        # a ValueError from gluing the pieces is a fault, not a bad parameter
+        from chromsym import graphs
+
+        def broken(*pieces):
+            raise ValueError("bad piece")
+
+        monkeypatch.setattr(graphs, "chain", broken)
+        code, _, err = run(capsys, "oracle", "--family", "kkp", "--a", "2", "--b", "3", "--h", "1")
+        assert code == 4 and err == "internal error: ValueError: bad piece\n"
 
     def test_bad_graph_parameter(self, capsys):
         code, _, err = run(capsys, "oracle", "--family", "cycle", "--n", "2")

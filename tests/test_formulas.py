@@ -16,6 +16,7 @@ import reference_formulas
 from chromsym.compositions import rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
+    _finish,
     composition_sum,
     x_cycle,
     x_infinity,
@@ -95,6 +96,11 @@ class TestPathsAndCycles:
             x_path(0)
         with pytest.raises(ValueError):
             x_cycle(1)
+
+    def test_finish_asserts_positivity(self):
+        assert _finish({pack((2, 1)): 1, pack((3,)): 0}, 3, 2) == e_term((2, 1), 2)
+        with pytest.raises(AssertionError, match=r"negative coefficient -2 at e\[2, 1\]"):
+            _finish({pack((3,)): 4, pack((2, 1)): -1}, 3, 2)
 
     def test_kernel_refuses_only_a_full_digit(self):
         # the all-ones composition: 255 parts 1 fill one digit of the packed key
@@ -290,9 +296,11 @@ class TestTwinned:
 
 class TestKayakInfinity:
     def test_zero_length_matches_infinity(self):
-        assert x_kayak(3, 3, 0) == x_infinity(3, 3)
-        assert x_kayak(4, 3, 0) == x_infinity(4, 3)
-        assert x_kayak(13, 18, 0) == x_infinity(13, 18)
+        # x_infinity is x_kayak at l = 0: check that against the published
+        # infinity expansion, and past the grid against the oracle
+        assert x_kayak(3, 3, 0) == reference_formulas.x_infinity(3, 3)
+        assert x_kayak(4, 3, 0) == reference_formulas.x_infinity(4, 3)
+        assert x_kayak(13, 18, 0) == csf_bruteforce(infinity(13, 18), 31)
 
     def test_differentials(self):
         assert x_kayak(3, 3, 1) == csf_bruteforce(kayak(3, 3, 1))
@@ -356,8 +364,12 @@ def test_every_composition_coefficient_is_nonnegative(tag, monkeypatch):
     (k_chain, x_kchain, ((10, 9, 8),), 109),
     (kpkp, x_kpkp, (8, 3, 7, 2), 54),
     (melting_lollipop, x_melting_lollipop, (12, 3, 5), 64),
+    (kkp, x_kkp, (7, 6, 9), 45),
+    (pkp, x_pkp, (6, 8, 6), 40),
+    (infinity, x_infinity, (13, 18), 31),
 ], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "tadpole8_12", "lollipop9_8",
-        "lollipop20_6", "kchain10_9_8", "kpkp8372", "melting12_3_5"])
+        "lollipop20_6", "kchain10_9_8", "kpkp8372", "melting12_3_5", "kkp7_6_9", "pkp6_8_6",
+        "infinity13_18"])
 def test_matches_oracle_past_grid(build, formula, args, max_edges):
     # sparse graphs above order 13, and clique families far past the 24-edge
     # budget, where the oracle counts each clique's twins by binomials
