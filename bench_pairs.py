@@ -34,7 +34,11 @@ METRICS = ("setup_s", "wall_s", "instance_p50_s", "peak_rss_mb")  # all lower is
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    # with bytecode writing on, each tree compiles its caches once, and a stale
+    # __pycache__ in one of them is not recompiled in every run
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
+                         check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -55,15 +59,17 @@ def cmd_run(args) -> None:
 
 
 def read_log(path: str) -> dict[tuple[str, int], dict[int, dict[str, dict]]]:
-    """{(workload, seed): {pair: {side: result}}}, complete pairs only."""
+    """{(workload, seed): {pair: {side: result}}}, complete pairs only, and
+    only the workloads and seeds that have one."""
     groups: dict[tuple[str, int], dict[int, dict[str, dict]]] = {}
     with open(path) as fh:
         for line in fh:
             row = json.loads(line)
             pairs = groups.setdefault((row["workload"], row["seed"]), {})
             pairs.setdefault(row["pair"], {})[row["side"]] = row["result"]
-    return {key: {p: sides for p, sides in pairs.items() if len(sides) == 2}
-            for key, pairs in groups.items()}
+    complete = {key: {p: sides for p, sides in pairs.items() if len(sides) == 2}
+                for key, pairs in groups.items()}
+    return {key: pairs for key, pairs in complete.items() if pairs}
 
 
 def cmd_summary(args) -> None:

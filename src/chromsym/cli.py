@@ -7,8 +7,10 @@ matching flags by their exact names, and ``-h`` prints help from it.
 Exit codes: 0 success or all-pass, 1 verification mismatch, 2 usage error
 (a bad flag, an unreadable edge list, or family parameters out of range, which
 the families raise as ParameterError), 3 input too large (past the edge
-budget, 65536 vertices, a component of 256 vertices, 255 equal parts or 2^20
-expansion terms), 4 internal error, including any other ValueError.
+budget, 65536 vertices, a component of 256 vertices, 255 equal parts, 2^20
+expansion terms or kernel moves, or a coefficient with more digits than
+Python converts to text, 4300 by default), 4 internal error, including any
+other ValueError.
 """
 
 from __future__ import annotations
@@ -65,7 +67,17 @@ def _collect_params(args: SimpleNamespace) -> tuple[Family, dict]:
     return fam, params
 
 
+def _check_digits(coefficients) -> None:
+    """Raise OrderLimitError if an int coefficient has more decimal digits than
+    Python converts to text (sys.get_int_max_str_digits(), 0 for no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(map(abs, coefficients), default=0) >= 10 ** limit:
+        raise OrderLimitError(f"a coefficient has more than {limit} digits, past Python's limit "
+                              "for converting an integer to text")
+
+
 def _render(f: ESymFunc, fmt: str) -> str:
+    _check_digits(f.terms.values())
     return f.to_json() if fmt == "structured" else f.to_text()
 
 
@@ -119,6 +131,7 @@ def cmd_positivity(args) -> int:
         print("e-positive (zero function)")
         return EXIT_OK
     coeff, key = worst
+    _check_digits((coeff,))
     where = f"min coeff {coeff} at e[{','.join(map(str, key))}]"
     print(f"e-positive ({where})" if f.is_e_positive() else f"NOT e-positive ({where})")
     return EXIT_OK

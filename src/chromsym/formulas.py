@@ -5,10 +5,11 @@ multiplied back in) as an exact :class:`~chromsym.symfunc.ESymFunc`.  The
 expansions are sums over integer compositions, weighted by the statistics of
 :mod:`chromsym.compositions`.  They are evaluated by the prefix-sum DP
 :func:`composition_sum`, whose work grows with the number of partitions of
-n, not with the 2^(n-1) compositions; like the oracle, it keys partitions
-as packed ints (:func:`~chromsym.symfunc.pack`).  Each evaluator supplies a
-step that weighs one part p starting at offset s, and every statistic is
-settled at a single step:
+n, not with the 2^(n-1) compositions, and which carries partitions only
+through the states that can still finish; like the oracle, it keys
+partitions as packed ints (:func:`~chromsym.symfunc.pack`).  Each evaluator
+supplies a step that weighs one part p starting at offset s, and every
+statistic is settled at a single step:
 
 * w takes p from the first part (s == 0) and p - 1 from every later part;
 * the part straddling a position x is the one with s < x <= s + p, so
@@ -29,10 +30,10 @@ expansions generalize earlier ones; each checks its parameters and makes one
 call: ``x_lollipop(a, l) = x_kpk(a, 1, l)`` (K_a^l = K_a + P_{l+1} + K_1),
 ``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``, ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``
 and ``x_infinity(a, b) = x_kayak(a, b, 0)``.  ``x_kpk`` and ``x_kpk_b3`` keep
-their own forms: through KPKP an order-30 KPK chain holds up to 409 times the
-kernel terms (median 3.6 times) and takes 2.4 times as long at order 20, and
-``x_kpkp_b3(a, l, 0)`` holds 1.4 to 2.2 times the terms of ``x_kpk_b3(a, l)``
-and takes 1.6 times as long at order 40.
+their own forms: through KPKP an order-20 KPK chain makes 1.6 times the
+kernel's term updates (up to 2.2 times) and takes 2.5 times as long (up to
+4.4 times), and ``x_kpkp_b3(a, l, 0)`` makes 1.6 to 2.8 times the updates of
+``x_kpk_b3(a, l)`` and takes 1.5 times as long at order 40.
 
 Conventions:
 
@@ -71,41 +72,68 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
     its parts.  Steps ending at n must return only states whose composition
     is complete.
 
-    Compositions with the same prefix sum, state and partition are merged, so
-    the work grows with the number of partitions of n times the number of
-    states, not with the 2^(n-1) compositions.  Partitions are packed keys
+    Two passes.  The first calls step once per reachable (offset, state,
+    part) and records its nonzero moves, then walks back from n and keeps
+    only the moves into states that can still reach n: a condition on the
+    last parts, such as K[-1] >= a, leaves many states dead.  The second
+    carries partitions along the kept moves only.  Compositions with the
+    same prefix sum, state and partition are merged, so the work grows with
+    the number of partitions of n times the number of live states, not with
+    the 2^(n-1) compositions.  Partitions are packed keys
     (:func:`~chromsym.symfunc.pack`), so adding a part adds its key.  The
     result maps packed keys to their totals, without zero entries.  Raises
-    OrderLimitError past 255 equal parts or MAX_TERMS terms after an offset.
+    OrderLimitError past 255 equal parts, past MAX_TERMS recorded moves, or
+    past MAX_TERMS terms held after an offset.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    # moves[s]: state -> [(p, new_state, coeff), ...] for every state reached at s
+    moves: list[dict] = [{} for _ in range(n + 1)]
+    moves[0][start] = []
+    recorded = 0
+    for s in range(n):
+        for state, out in moves[s].items():
+            for p in range(1, n - s + 1):
+                target = moves[s + p]
+                for new_state, coeff in step(state, s, p):
+                    if coeff:
+                        out.append((p, new_state, coeff))
+                        target.setdefault(new_state, [])
+            recorded += len(out)
+            if recorded > MAX_TERMS:
+                raise OrderLimitError(f"order {n} makes more than {MAX_TERMS} kernel moves "
+                                      f"by offset {s}")
+    # every state at n is complete; a state below n lives if a move leads to a live one
+    for s in range(n - 1, -1, -1):
+        layer = moves[s]
+        for state, out in list(layer.items()):
+            kept = [move for move in out if move[1] in moves[s + move[0]]]
+            if kept:
+                layer[state] = kept
+            else:
+                del layer[state]
     # layers[s]: state -> {packed partition of s: coefficient}
     layers: list[dict] = [{} for _ in range(n + 1)]
-    layers[0][start] = {0: 1}
-    held = 1  # terms in the layers not yet read
+    if start in moves[0]:
+        layers[0][start] = {0: 1}
+    held = len(layers[0])  # terms in the layers not yet read
     for s in range(n):
         for state, poly in layers[s].items():
             held -= len(poly)
-            for p in range(1, n - s + 1):
-                pairs = [pair for pair in step(state, s, p) if pair[1]]
-                if not pairs:
-                    continue
+            for p, new_state, coeff in moves[s][state]:
                 shift = 1 << DIGIT * (p - 1)  # pack((p,))
                 # a partition of s holds at most s // p parts p
                 if s >= DIGIT_MASK * p and any(key // shift & DIGIT_MASK == DIGIT_MASK
                                                for key in poly):
                     raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
                                           "a partition, past the digit of packed keys")
-                target = layers[s + p]
-                for new_state, coeff in pairs:
-                    out = target.setdefault(new_state, {})
-                    held -= len(out)
-                    for key, c in poly.items():
-                        key += shift
-                        out[key] = out.get(key, 0) + coeff * c
-                    held += len(out)
-        layers[s] = {}
+                out = layers[s + p].setdefault(new_state, {})
+                held -= len(out)
+                for key, c in poly.items():
+                    key += shift
+                    out[key] = out.get(key, 0) + coeff * c
+                held += len(out)
+        layers[s] = moves[s] = {}
         if held > MAX_TERMS:
             raise OrderLimitError(f"order {n} holds more than {MAX_TERMS} terms after offset {s}")
     total: Acc = {}
@@ -135,13 +163,10 @@ def _add(acc: Acc, poly: Acc, extra: Composition = ()) -> Acc:
 
 def _finish(acc: Acc, degree: int, prefactor: int = 1) -> ESymFunc:
     """The ESymFunc of prefactor * acc, asserting that it is e-positive."""
-    terms = {}
     for key, c in acc.items():
         if c < 0:
             raise AssertionError(f"negative coefficient {c * prefactor} at e{list(unpack(key))}")
-        if c:
-            terms[unpack(key)] = c * prefactor
-    return ESymFunc(terms, degree)
+    return ESymFunc.from_packed(acc, degree, prefactor)
 
 
 # ----------------------------------------------------------------------

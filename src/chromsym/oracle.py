@@ -61,11 +61,11 @@ would go past the cap.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .graphs import Graph
-from .symfunc import ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e, unpack
+from .symfunc import ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e
 # unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
 from .symfunc import p_to_e  # noqa: F401
 
@@ -118,8 +118,8 @@ def _components(n: int, edges) -> list[tuple[list[int], list[tuple[int, int]]]]:
     return sorted(groups.values())
 
 
-def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...], int]:
-    """e-coefficients of X of the graph on vertices 0..k-1: the sum over its
+def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[int, int]:
+    """e-coefficients of X of the graph on vertices 0..k-1, by packed key: the sum over its
     partitions into connected blocks B of prod c(B) p_|B|, taken top down
     over how many vertices of each class of twins are left."""
     nbrs = [0] * k
@@ -324,7 +324,7 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[tuple[int, ...
             _shared_terms = 0
         return out
 
-    return {unpack(key): c for key, c in rec((1 << k) - 1, len(edges)).items()}
+    return rec((1 << k) - 1, len(edges))
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep
@@ -346,11 +346,14 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     comps = _components(g.n_vertices, g.edges)
     check_order(max((len(comp) for comp, _ in comps), default=0))
     # each isolated vertex is a factor e_1: one product for all of them, as
-    # every product sorts the keys anew
-    out = e_term((1,) * sum(not edges for _, edges in comps))
+    # every product sorts the keys anew; a lone component needs no product
+    isolated = sum(not edges for _, edges in comps)
+    factors = []
     for comp, edges in comps:
         if edges:
             index = {v: i for i, v in enumerate(comp)}
             local = sorted((index[u], index[v]) for u, v in edges)
-            out = out * ESymFunc(_e_coefficients(len(comp), local))
-    return out
+            factors.append(ESymFunc.from_packed(_e_coefficients(len(comp), local), len(comp)))
+    if isolated or not factors:
+        factors.append(e_term((1,) * isolated))
+    return reduce(ESymFunc.__mul__, factors)

@@ -67,6 +67,27 @@ class ESymFunc:
         object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "degree", self_degree)
 
+    @classmethod
+    def from_packed(cls, acc: Mapping[int, int], degree: int, scale: int = 1) -> "ESymFunc":
+        """scale times the sum of acc[key] e_lambda, for lambda the partition of
+        each packed key (:func:`pack`), of the given degree.  Each key is
+        unpacked once, already sorted; zero coefficients are dropped, and a
+        coefficient that is not an int or a partition of another size raises."""
+        terms: dict[Partition, int] = {}
+        for key, c in acc.items():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an integer")
+            c *= scale
+            if c:
+                parts = unpack(key)
+                if sum(parts) != degree:
+                    raise ValueError(f"inhomogeneous terms: degree {sum(parts)} vs {degree}")
+                terms[parts] = c
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", MappingProxyType(terms))
+        object.__setattr__(out, "degree", degree if terms else 0)
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError("ESymFunc is immutable")
 
@@ -237,10 +258,14 @@ def pack(parts: Iterable[int]) -> int:
 
 
 def unpack(key: int) -> Partition:
-    """Weakly decreasing parts of a packed key."""
+    """Weakly decreasing parts of a packed key, read from its bytes, as a
+    digit is one byte: the last byte counts the largest part."""
+    data = key.to_bytes((key.bit_length() + 7) // 8, "little")[::-1]
+    top = len(data)
     parts: list[int] = []
-    for part in range(1 + key.bit_length() // DIGIT, 0, -1):
-        parts += [part] * (key >> DIGIT * (part - 1) & DIGIT_MASK)
+    for i, m in enumerate(data):
+        if m:
+            parts += [top - i] * m
     return tuple(parts)
 
 
@@ -279,4 +304,4 @@ def p_to_e(k: int) -> ESymFunc:
     """Expansion of the power sum p_k in the e-basis: :func:`p_sum_to_e` of p_k, unpacked."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return ESymFunc({unpack(key): c for key, c in p_sum_to_e({k: {0: 1}}).items()})
+    return ESymFunc.from_packed(p_sum_to_e({k: {0: 1}}), k)

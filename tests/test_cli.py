@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import chromsym
 from chromsym.cli import PARAM_FLAGS, main, parse_args
 from chromsym.families import FAMILIES, Family
@@ -57,6 +59,22 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--family", "path", "--n", "200")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "terms" in err
+
+    def test_coefficient_past_digit_limit_exit_code(self, capsys):
+        # X(K_1600) = 1600! e_1600, and 1600! has 4434 digits: past Python's
+        # default limit for int-to-text conversion, an input too large
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python converts integers of any length to text")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for command in ("expand", "positivity"):
+                code, out, err = run(capsys, command, "--family", "kchain", "--parts", "1600")
+                assert code == 3 and out == ""
+                assert err == ("error: a coefficient has more than 4300 digits, past Python's "
+                               "limit for converting an integer to text\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_bad_parameter_value(self, capsys):
         code, _, err = run(capsys, "expand", "--family", "path", "--n", "0")

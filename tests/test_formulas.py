@@ -9,13 +9,14 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_formulas
-from chromsym.compositions import rho
+from chromsym.compositions import iter_compositions, rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
+    MAX_TERMS,
     _finish,
     composition_sum,
     x_cycle,
@@ -109,6 +110,65 @@ class TestPathsAndCycles:
         assert composition_sum(255, ones, None) == {pack((1,) * 255): 1} == {255: 1}
         with pytest.raises(OrderLimitError, match="more than 255 parts 1"):
             composition_sum(256, ones, None)
+
+
+@st.composite
+def step_tables(draw):
+    """A length n and a table (state, s, p) -> (new_state, coeff) pairs over
+    states 0..2, with refused parts, zero coefficients and split steps."""
+    n = draw(st.integers(0, 7))
+    pairs = st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 3)), max_size=2)
+    return n, {(state, s, p): draw(pairs)
+               for s in range(n) for state in range(3) for p in range(1, n - s + 1)}
+
+
+def literal_sum(n: int, table: dict) -> dict:
+    """composition_sum from state 0, one composition at a time."""
+    total: dict = {}
+    for comp in iter_compositions(n, 1):
+        paths, s = {0: 1}, 0
+        for p in comp:
+            after: dict = {}
+            for state, c in paths.items():
+                for new_state, coeff in table.get((state, s, p), ()):
+                    after[new_state] = after.get(new_state, 0) + c * coeff
+            paths, s = after, s + p
+        key = pack(comp)
+        total[key] = total.get(key, 0) + sum(paths.values())
+    return {key: c for key, c in total.items() if c}
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(step_tables())
+    @example((0, {}))
+    @example((3, {(0, 0, 1): [(1, 2), (2, 1)], (1, 1, 2): [(0, 3)], (2, 1, 2): [(0, 0)],
+                  (2, 1, 1): [(2, 1)], (2, 2, 1): [(1, 5)], (0, 0, 3): [(0, 1)]}))
+    @example((4, {(0, 0, 2): [(1, 1)], (1, 2, 1): [(1, 1)], (1, 3, 1): []}))  # start is dead
+    def test_matches_literal_sum(self, case):
+        n, table = case
+        got = composition_sum(n, lambda state, s, p: table.get((state, s, p), ()), 0)
+        assert got == literal_sum(n, table)
+
+    def test_dead_states_carry_nothing(self):
+        # K_300^2 = K_300 + P_3 + K_1: the last part is at least 300, so the
+        # few partitions of at most 2 before it are all that is carried, and
+        # X(1^k) is the chromatic polynomial k (k-1) ... (k-299) (k-1)^2
+        k = 302
+        assert x_lollipop(300, 2).evaluate_at([1] * k) == math.perm(k, 300) * (k - 1) ** 2
+        # K_200 + P_2 + K_150, order 350, is two cliques glued to one edge
+        k = 351
+        assert (x_kpk(200, 150, 1).evaluate_at([1] * k)
+                == math.perm(k, 200) * (k - 1) * math.perm(k - 1, 149))
+        # the oracle refuses components of 256 vertices or more
+        with pytest.raises(OrderLimitError):
+            csf_bruteforce(lollipop(300, 2), 10 ** 5)
+
+    def test_moves_are_capped(self):
+        # the kernel records about 2M moves for K_2000^1 before it could
+        # carry a partition, and refuses it past MAX_TERMS of them
+        with pytest.raises(OrderLimitError, match=f"more than {MAX_TERMS} kernel moves"):
+            x_lollipop(2000, 1)
 
 
 class TestKChains:

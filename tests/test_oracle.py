@@ -286,7 +286,7 @@ def check_literal(n: int, edges) -> None:
     want = ESymFunc({}, 0)
     for key, c in p_subset_sum(n, edges).items():
         want = want + c * p_product(key)
-    assert ESymFunc(oracle._e_coefficients(n, edges)) == want, (n, edges)
+    assert ESymFunc.from_packed(oracle._e_coefficients(n, edges), n) == want, (n, edges)
 
 
 def clear_shared_memo() -> None:

@@ -217,6 +217,31 @@ class TestPackedKeys:
             p_to_e(0)
 
 
+class TestFromPacked:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 9), st.integers(-3, 3), st.randoms(use_true_random=False))
+    def test_matches_tuple_constructor(self, n, scale, rng):
+        chosen = rng.sample(partitions(n), min(len(partitions(n)), rng.randint(0, 6)))
+        coeffs = {parts: rng.randint(-3, 3) for parts in chosen}
+        got = ESymFunc.from_packed({pack(parts): c for parts, c in coeffs.items()}, n, scale)
+        # the tuple constructor takes the parts in any order and sorts them
+        assert got == ESymFunc({parts[::-1]: c * scale for parts, c in coeffs.items()}, n)
+        assert all(type(c) is int for c in got.terms.values())
+
+    def test_drops_zero_coefficients(self):
+        got = ESymFunc.from_packed({pack((2, 1)): 0, pack((3,)): 2, pack((1, 1, 1)): 1}, 3, 2)
+        assert dict(got.terms) == {(3,): 4, (1, 1, 1): 2}
+        assert ESymFunc.from_packed({pack((4,)): 0}, 4) == zero()
+        assert ESymFunc.from_packed({0: 1}, 0) == one()
+
+    def test_refuses_what_the_tuple_constructor_refuses(self):
+        with pytest.raises(ValueError, match="inhomogeneous terms: degree 4 vs 3"):
+            ESymFunc.from_packed({pack((3,)): 1, pack((2, 2)): 1}, 3)
+        for c in (Fraction(1, 2), 0.5):
+            with pytest.raises(TypeError, match="not an integer"):
+                ESymFunc.from_packed({pack((2,)): c}, 2)
+
+
 class TestSerialization:
     def test_text_form(self):
         f = e_term((5,), 50) + e_term((4, 1), 6) + e_term((3, 2), 4)
