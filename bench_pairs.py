@@ -11,11 +11,13 @@ parent commit (for example made by ``git archive``) at PARENT:
 
 ``run`` starts one untraced ``perfbench/run.py`` at a time, in each checkout
 in turn, the side that runs first alternating from pair to pair, and appends
-each run's last output line to the log.  ``summary`` prints, per workload,
-seed and end-to-end metric, each side's median and quartiles and the number
-of pairs the change won.  ``record`` writes the first pair of every workload
-and seed in the format of the ``BENCH_*.json`` files.  Only the standard
-library is used, and neither checkout's files are changed.
+each run's last output line to the log with the ``--seconds`` it ran for.
+``summary`` prints, per workload, seed and end-to-end metric, each side's
+median and quartiles and the number of pairs the change won.  ``record``
+writes the first pair of every workload and seed in the format of the
+``BENCH_*.json`` files; its command names the ``--seconds`` of those runs,
+which must all agree.  Only the standard library is used, and neither
+checkout's files are changed.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def cmd_run(args) -> None:
             for side in order:
                 result = run_side(roots[side], args.workload, args.seed, args.seconds)
                 row = {"workload": args.workload, "seed": args.seed, "pair": pair,
-                       "side": side, "first": order[0], "result": result}
+                       "side": side, "first": order[0], "seconds": args.seconds,
+                       "result": result}
                 log.write(json.dumps(row) + "\n")
                 log.flush()
                 wall = result["metrics"]["wall_s"]["value"]
@@ -59,14 +62,14 @@ def cmd_run(args) -> None:
 
 
 def read_log(path: str) -> dict[tuple[str, int], dict[int, dict[str, dict]]]:
-    """{(workload, seed): {pair: {side: result}}}, complete pairs only, and
+    """{(workload, seed): {pair: {side: row}}}, complete pairs only, and
     only the workloads and seeds that have one."""
     groups: dict[tuple[str, int], dict[int, dict[str, dict]]] = {}
     with open(path) as fh:
         for line in fh:
             row = json.loads(line)
             pairs = groups.setdefault((row["workload"], row["seed"]), {})
-            pairs.setdefault(row["pair"], {})[row["side"]] = row["result"]
+            pairs.setdefault(row["pair"], {})[row["side"]] = row
     complete = {key: {p: sides for p, sides in pairs.items() if len(sides) == 2}
                 for key, pairs in groups.items()}
     return {key: pairs for key, pairs in complete.items() if pairs}
@@ -74,10 +77,12 @@ def read_log(path: str) -> dict[tuple[str, int], dict[int, dict[str, dict]]]:
 
 def cmd_summary(args) -> None:
     for (workload, seed), pairs in sorted(read_log(args.log).items()):
-        fails = sum(r["failed"] + (not r["correct"]) for s in pairs.values() for r in s.values())
+        results = [row["result"] for sides in pairs.values() for row in sides.values()]
+        fails = sum(r["failed"] + (not r["correct"]) for r in results)
         print(f"{workload} seed {seed}: {len(pairs)} pairs, {fails} failed or incorrect runs")
         for metric in METRICS:
-            value = {side: [pairs[p][side]["metrics"][metric]["value"] for p in sorted(pairs)]
+            value = {side: [pairs[p][side]["result"]["metrics"][metric]["value"]
+                            for p in sorted(pairs)]
                      for side in ("parent", "change")}
             wins = sum(c < p for p, c in zip(value["parent"], value["change"]))
             text = []
@@ -92,14 +97,18 @@ def cmd_summary(args) -> None:
 
 
 def cmd_record(args) -> None:
-    runs = []
+    runs, seconds = [], set()
     for (workload, seed), pairs in sorted(read_log(args.log).items()):
         first = pairs[min(pairs)]
         runs.append({"workload": workload, "seed": seed,
-                     "parent": first["parent"], "change": first["change"]})
+                     "parent": first["parent"]["result"], "change": first["change"]["result"]})
+        seconds.update(row.get("seconds") for row in first.values())
+    if len(seconds) != 1 or None in seconds:
+        sys.exit(f"record: the recorded pairs ran for --seconds {sorted(seconds, key=str)}, "
+                 "not one value")
     record = {"label": args.label, "change": args.change_note, "parent": args.parent_commit,
               "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                         f"{args.seconds:g}",
+                         f"{seconds.pop():g}",
               "host": args.host,
               "note": "each record is the last line run.py printed, from the first pair of "
                       "each workload and seed; see CHANGES.md for the repeated pairs",
@@ -127,7 +136,6 @@ def main(argv: list[str] | None = None) -> None:
     p_rec = sub.add_parser("record")
     for flag in ("--log", "--label", "--change-note", "--parent-commit", "--host", "--out"):
         p_rec.add_argument(flag, required=True)
-    p_rec.add_argument("--seconds", type=float, default=25)
     p_rec.set_defaults(func=cmd_record)
     args = parser.parse_args(argv)
     args.func(args)

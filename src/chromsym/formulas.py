@@ -25,15 +25,22 @@ result is e-positive, which all the families are.
 The per-composition definitions are kept in ``tests/reference_formulas.py``
 and checked against these evaluators.
 
-Four evaluators are special cases, as the paper's KPKP and kayak-paddle
-expansions generalize earlier ones; each checks its parameters and makes one
-call: ``x_lollipop(a, l) = x_kpk(a, 1, l)`` (K_a^l = K_a + P_{l+1} + K_1),
-``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``, ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``
-and ``x_infinity(a, b) = x_kayak(a, b, 0)``.  ``x_kpk`` and ``x_kpk_b3`` keep
-their own forms: through KPKP an order-20 KPK chain makes 1.6 times the
-kernel's term updates (up to 2.2 times) and takes 2.5 times as long (up to
-4.4 times), and ``x_kpkp_b3(a, l, 0)`` makes 1.6 to 2.8 times the updates of
-``x_kpk_b3(a, l)`` and takes 1.5 times as long at order 40.
+Seven evaluators are special cases, as the paper's KPKP, twinned-lollipop
+and kayak-paddle expansions generalize earlier ones; each checks its
+parameters and makes one call:
+
+* ``x_lollipop(a, l) = x_kpkp(1, 0, a, l)`` (K_a^l = K_1 + P_1 + K_a + P_{l+1}),
+  and ``x_path(l + 1)`` when a = 1;
+* ``x_kpk(a, b, l) = x_kpkp(a, l, b, 0)``, and ``x_lollipop(a, l)`` when b = 1;
+* ``x_kpk_b3(a, l) = x_kpkp_b3(a, l, 0)``;
+* ``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)`` and ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``;
+* ``x_tw_path(n, l) = x_tw_lollipop(1, n - 1, n - l)``;
+* ``x_infinity(a, b) = x_kayak(a, b, 0)``.
+
+The general forms carry more states through the kernel than the published
+lollipop, KPK and KPK-b3 forms, so some inputs reach MAX_TERMS sooner:
+``x_kpk(3, 5, 52)`` (order 59) by the terms held, and ``x_kpk(500, 500, 1)``,
+``x_kpk_b3(1000, 1)`` and ``x_lollipop(1400, 1)`` by the moves recorded.
 
 Conventions:
 
@@ -46,6 +53,7 @@ Conventions:
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import factorial
 from typing import Callable, Hashable, Iterable
 
@@ -82,8 +90,9 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
     the 2^(n-1) compositions.  Partitions are packed keys
     (:func:`~chromsym.symfunc.pack`), so adding a part adds its key.  The
     result maps packed keys to their totals, without zero entries.  Raises
-    OrderLimitError past 255 equal parts, past MAX_TERMS recorded moves, or
-    past MAX_TERMS terms held after an offset.
+    OrderLimitError past 255 equal parts, past MAX_TERMS recorded moves
+    (checked after every step call, so one state cannot record without
+    bound), or past MAX_TERMS terms held after an offset.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -99,10 +108,10 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
                     if coeff:
                         out.append((p, new_state, coeff))
                         target.setdefault(new_state, [])
-            recorded += len(out)
-            if recorded > MAX_TERMS:
-                raise OrderLimitError(f"order {n} makes more than {MAX_TERMS} kernel moves "
-                                      f"by offset {s}")
+                        recorded += 1
+                if recorded > MAX_TERMS:
+                    raise OrderLimitError(f"order {n} makes more than {MAX_TERMS} kernel moves "
+                                          f"by offset {s}")
     # every state at n is complete; a state below n lives if a move leads to a live one
     for s in range(n - 1, -1, -1):
         layer = moves[s]
@@ -210,7 +219,8 @@ def x_kchain(parts: Composition) -> ESymFunc:
     prefactor = factorial(I[-1] - 1)
     for p in I[:-1]:
         prefactor *= factorial(p - 2)
-    bound = [sum(I[j:]) - (length - 1 - j) for j in range(length)]
+    suffix_sums = list(accumulate(reversed(I)))[::-1]  # suffix_sums[j] = sum(I[j:])
+    bound = [t - (length - 1 - j) for j, t in enumerate(suffix_sums)]
 
     def factor(j: int, suffix: int, k: int) -> int:
         """Factor of K[j] = k (j >= 1) when K[j] + ... + K[l-1] = suffix; 0 off-branch."""
@@ -239,13 +249,13 @@ def x_kchain(parts: Composition) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_lollipop(a: int, l: int) -> ESymFunc:
-    """X of the lollipop K_a^l, which is the chain K_a + P_{l+1} + K_1.
+    """X of the lollipop K_a^l, which is the chain K_1 + P_1 + K_a + P_{l+1}.
 
     a = 1 is allowed and degenerates to the path on l + 1 vertices.
     """
     if a < 1 or l < 0:
         raise ParameterError(f"needs a >= 1 and l >= 0, got {(a, l)}")
-    return x_kpk(a, 1, l)
+    return x_kpkp(1, 0, a, l) if a >= 2 else x_path(l + 1)
 
 
 def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
@@ -273,43 +283,20 @@ def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_kpk(a: int, b: int, l: int) -> ESymFunc:
-    """X of the chain K_a + P_{l+1} + K_b.
+    """X of the chain K_a + P_{l+1} + K_b, which is K_a + P_{l+1} + K_b + P_1.
 
-    Compositions with i_{-1} >= a weigh w_I when i_1 >= b, and
-    (i_2 - i_1)(i_3 - 1)...(i_l - 1) when i_1 < b <= i_2.  The state is
-    "first", then i_1 while i_2 is pending, then "w".
+    b = 1 is allowed and gives the lollipop K_a^l.
     """
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    n = a + b + l - 1
-
-    def step(state, s, p):
-        if s + p == n and p < a:
-            return ()
-        if state == "w":
-            return (("w", p - 1),)
-        if state == "first":
-            return (("w", p),) if p >= b else ((p, 1),)
-        return (("w", p - state),) if p >= b else ()
-    return _finish(composition_sum(n, step, "first"), n,
-                   factorial(a - 1) * factorial(b - 1))
+    return x_kpkp(a, l, b, 0) if b >= 2 else x_lollipop(a, l)
 
 
 def x_kpk_b3(a: int, l: int) -> ESymFunc:
-    """X of K_a + P_{l+1} + K_3 in its condensed two-term form (a >= 3).
-
-    The state counts the parts read, up to 2: a second part must be >= 3.
-    """
+    """X of K_a + P_{l+1} + K_3 (a >= 3), the condensed KPKP form with h = 0."""
     if a < 3 or l < 0:
         raise ParameterError(f"needs a >= 3 and l >= 0, got {(a, l)}")
-    n = a + l + 2
-
-    def step(i, s, p):
-        if (s + p == n and (p < a or p == n - 2)) or (i == 1 and p < 3):
-            return ()
-        return ((min(i + 1, 2), _wf(s, p)),)
-    acc = _add({pack((n - 2, 2)): n - 4}, composition_sum(n, step, 0))
-    return _finish(acc, n, 2 * factorial(a - 1))
+    return x_kpkp_b3(a, l, 0)
 
 
 def x_pkp(g: int, a: int, h: int) -> ESymFunc:
@@ -435,31 +422,11 @@ def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
 def x_tw_path(n: int, l: int) -> ESymFunc:
     """X of the path on n vertices twinned at its l-th vertex (2 <= l <= n-1).
 
-    The fractional weights of the expansion cancel against w: the head term
-    (1 - 2/i_1) w_I weighs i_1 - 2 for its first part, and (1 - 1/theta_K(l+t)) w_K
-    weighs k - 2 for the part k read right after the one reaching l - 1 with
-    overshoot t <= 2 (that part's overshoot at l + t is k - 1).
+    That is the lollipop K_1^{n-1} twinned at distance n - l from the leaf.
     """
     if n < 3 or not 2 <= l <= n - 1:
         raise ParameterError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
-
-    def overshoot_at_least_3(x: int, min_part: int):
-        return lambda s, p: 0 if p < min_part or s < x <= s + p < x + 3 else _wf(s, p)
-
-    def twin_sum(state, s, p):
-        if p < 2:
-            return ()
-        if state == "next":
-            return (("w", p - 2),)
-        coeff = _wf(s, p)
-        if s < l - 1 <= s + p:
-            return (("next", coeff),) if s + p - (l - 1) <= 2 else (("w", 2 * coeff),)
-        return (("w", coeff),)
-    acc = composition_sum(n + 1, twin_sum, "w")
-    _add(acc, _product_sum(n, overshoot_at_least_3(l - 1, 1)), (1,))
-    _add(acc, _product_sum(n, overshoot_at_least_3(n - l, 2)), (1,))
-    _add(acc, _product_sum(n, lambda s, p: (p - 2 if s == 0 else p - 1) if p >= 2 else 0), (1,))
-    return _finish(acc, n + 1, 2)
+    return x_tw_lollipop(1, n - 1, n - l)
 
 
 def x_tw_cycle(n: int) -> ESymFunc:

@@ -60,6 +60,14 @@ class TestExpand:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and "terms" in err
 
+    def test_move_cap_exit_code(self, capsys):
+        # K_2 + ... + K_2 with 10000 parts: the steps of the first state alone
+        # return more than MAX_TERMS moves, and the kernel refuses it there
+        parts = ",".join(["2"] * 10000)
+        code, out, err = run(capsys, "expand", "--family", "kchain", "--parts", parts)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "kernel moves by offset 0" in err
+
     def test_coefficient_past_digit_limit_exit_code(self, capsys):
         # X(K_1600) = 1600! e_1600, and 1600! has 4434 digits: past Python's
         # default limit for int-to-text conversion, an input too large

@@ -151,9 +151,8 @@ class TestKernel:
         assert got == literal_sum(n, table)
 
     def test_dead_states_carry_nothing(self):
-        # K_300^2 = K_300 + P_3 + K_1: the last part is at least 300, so the
-        # few partitions of at most 2 before it are all that is carried, and
-        # X(1^k) is the chromatic polynomial k (k-1) ... (k-299) (k-1)^2
+        # K_300^2 = K_1 + P_1 + K_300 + P_3, and X(1^k) is the chromatic
+        # polynomial k (k-1) ... (k-299) (k-1)^2
         k = 302
         assert x_lollipop(300, 2).evaluate_at([1] * k) == math.perm(k, 300) * (k - 1) ** 2
         # K_200 + P_2 + K_150, order 350, is two cliques glued to one edge
@@ -165,7 +164,7 @@ class TestKernel:
             csf_bruteforce(lollipop(300, 2), 10 ** 5)
 
     def test_moves_are_capped(self):
-        # the kernel records about 2M moves for K_2000^1 before it could
+        # the kernel records about 4M moves for K_2000^1 before it could
         # carry a partition, and refuses it past MAX_TERMS of them
         with pytest.raises(OrderLimitError, match=f"more than {MAX_TERMS} kernel moves"):
             x_lollipop(2000, 1)
@@ -200,8 +199,9 @@ class TestLollipops:
             assert x_lollipop(a, 0) == e_term((a,), math.factorial(a))
 
     def test_trivial_clique_is_path(self):
+        # x_lollipop(1, l) is evaluated by x_path: check the published form
         for l in range(0, 6):
-            assert x_lollipop(1, l) == x_path(l + 1)
+            assert reference_formulas.x_lollipop(1, l) == x_path(l + 1)
 
     def test_lollipop_is_melting_at_zero(self):
         for a in range(2, 6):
@@ -225,7 +225,7 @@ class TestCliquePathClique:
 
     def test_trivial_cliques_give_path(self):
         for l in range(0, 5):
-            assert x_kpk(1, 1, l) == x_path(l + 1)
+            assert reference_formulas.x_kpk(1, 1, l) == x_path(l + 1)
 
     def test_differential(self):
         assert x_kpk(3, 3, 2) == csf_bruteforce(kpk(3, 3, 2))
@@ -262,10 +262,13 @@ class TestPkpKkp:
         assert x_kkp(2, 3, 1) == csf_bruteforce(kkp(2, 3, 1))
 
     def test_kkp_trivial_first_clique_is_lollipop(self):
+        # both are evaluated by x_kpkp(1, 0, b, h): check the published lollipop form
         for b in (2, 3, 4):
             for h in (0, 1, 2):
-                assert x_kkp(1, b, h) == x_lollipop(b, h)
-        assert x_kkp(1, 9, 21) == x_lollipop(9, 21)
+                assert x_kkp(1, b, h) == reference_formulas.x_lollipop(b, h)
+        # order 30, too far for the per-composition form: K_9^21 is the
+        # melting lollipop with no edge removed
+        assert x_kkp(1, 9, 21) == x_melting_lollipop(9, 21, 0)
 
 
 class TestKpcTadpole:
@@ -418,6 +421,10 @@ def test_every_composition_coefficient_is_nonnegative(tag, monkeypatch):
     (cycle, x_cycle, (20,), 24),
     (kayak, x_kayak, (6, 7, 8), 24),
     (tw_path, x_tw_path, (19, 9), 24),
+    (kpk, x_kpk, (9, 8, 6), 100000),
+    (kpk, x_kpk, (8, 1, 9), 100000),
+    (kpk, x_kpk, (1, 7, 9), 100000),
+    (kpk, lambda a, b, l: x_kpk_b3(a, l), (10, 3, 10), 100000),
     (tadpole, x_tadpole, (8, 12), 24),
     (lollipop, x_lollipop, (9, 8), 44),
     (lollipop, x_lollipop, (20, 6), 196),
@@ -427,7 +434,8 @@ def test_every_composition_coefficient_is_nonnegative(tag, monkeypatch):
     (kkp, x_kkp, (7, 6, 9), 45),
     (pkp, x_pkp, (6, 8, 6), 40),
     (infinity, x_infinity, (13, 18), 31),
-], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "tadpole8_12", "lollipop9_8",
+], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "kpk9_8_6", "kpk8_1_9", "kpk1_7_9",
+        "kpk_b3_10_10", "tadpole8_12", "lollipop9_8",
         "lollipop20_6", "kchain10_9_8", "kpkp8372", "melting12_3_5", "kkp7_6_9", "pkp6_8_6",
         "infinity13_18"])
 def test_matches_oracle_past_grid(build, formula, args, max_edges):
