@@ -25,22 +25,19 @@ result is e-positive, which all the families are.
 The per-composition definitions are kept in ``tests/reference_formulas.py``
 and checked against these evaluators.
 
-Seven evaluators are special cases, as the paper's KPKP, twinned-lollipop
-and kayak-paddle expansions generalize earlier ones; each checks its
-parameters and makes one call:
-
-* ``x_lollipop(a, l) = x_kpkp(1, 0, a, l)`` (K_a^l = K_1 + P_1 + K_a + P_{l+1}),
-  and ``x_path(l + 1)`` when a = 1;
-* ``x_kpk(a, b, l) = x_kpkp(a, l, b, 0)``, and ``x_lollipop(a, l)`` when b = 1;
-* ``x_kpk_b3(a, l) = x_kpkp_b3(a, l, 0)``;
-* ``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)`` and ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``;
-* ``x_tw_path(n, l) = x_tw_lollipop(1, n - 1, n - l)``;
-* ``x_infinity(a, b) = x_kayak(a, b, 0)``.
-
-The general forms carry more states through the kernel than the published
-lollipop, KPK and KPK-b3 forms, so some inputs reach MAX_TERMS sooner:
-``x_kpk(3, 5, 52)`` (order 59) by the terms held, and ``x_kpk(500, 500, 1)``,
-``x_kpk_b3(1000, 1)`` and ``x_lollipop(1400, 1)`` by the moves recorded.
+Five evaluators are special cases of others (the KPK chain covers lollipops
+and the condensed KPK-b3 form, and the paper's KPKP and kayak-paddle
+expansions cover KKP and PKP chains and infinity graphs); each checks its
+parameters and makes one call: ``x_lollipop(a, l) = x_kpk(a, 1, l)``
+(K_a^l = K_a + P_{l+1} + K_1), ``x_kpk_b3(a, l) = x_kpk(a, 3, l)``,
+``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``,
+``x_pkp(g, a, h) = x_kpkp(1, g, a, h)`` and ``x_infinity(a, b) = x_kayak(a, b, 0)``.
+``x_kpk`` and ``x_tw_path`` keep their own forms, because the general forms
+carry more kernel terms for them and so reach MAX_TERMS sooner:
+``x_kpkp(a, l, b, 0)`` refuses ``x_kpk(3, 5, 52)`` by the terms held and
+``x_kpk(500, 500, 1)`` by the moves recorded, and at order 20 it takes a median
+2.5 times as long; ``x_tw_lollipop(1, n - 1, n - l)`` lets a first part of 1
+through and refuses ``x_tw_path(59, 10)``.
 
 Conventions:
 
@@ -249,13 +246,13 @@ def x_kchain(parts: Composition) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_lollipop(a: int, l: int) -> ESymFunc:
-    """X of the lollipop K_a^l, which is the chain K_1 + P_1 + K_a + P_{l+1}.
+    """X of the lollipop K_a^l, which is the chain K_a + P_{l+1} + K_1.
 
     a = 1 is allowed and degenerates to the path on l + 1 vertices.
     """
     if a < 1 or l < 0:
         raise ParameterError(f"needs a >= 1 and l >= 0, got {(a, l)}")
-    return x_kpkp(1, 0, a, l) if a >= 2 else x_path(l + 1)
+    return x_kpk(a, 1, l)
 
 
 def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
@@ -283,20 +280,33 @@ def x_melting_lollipop(a: int, l: int, k: int) -> ESymFunc:
 # ----------------------------------------------------------------------
 
 def x_kpk(a: int, b: int, l: int) -> ESymFunc:
-    """X of the chain K_a + P_{l+1} + K_b, which is K_a + P_{l+1} + K_b + P_1.
+    """X of the chain K_a + P_{l+1} + K_b.
 
-    b = 1 is allowed and gives the lollipop K_a^l.
+    Compositions with i_{-1} >= a weigh w_I when i_1 >= b, and
+    (i_2 - i_1)(i_3 - 1)...(i_l - 1) when i_1 < b <= i_2.  The state is
+    "first", then i_1 while i_2 is pending, then "w".
     """
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    return x_kpkp(a, l, b, 0) if b >= 2 else x_lollipop(a, l)
+    n = a + b + l - 1
+
+    def step(state, s, p):
+        if s + p == n and p < a:
+            return ()
+        if state == "w":
+            return (("w", p - 1),)
+        if state == "first":
+            return (("w", p),) if p >= b else ((p, 1),)
+        return (("w", p - state),) if p >= b else ()
+    return _finish(composition_sum(n, step, "first"), n,
+                   factorial(a - 1) * factorial(b - 1))
 
 
 def x_kpk_b3(a: int, l: int) -> ESymFunc:
-    """X of K_a + P_{l+1} + K_3 (a >= 3), the condensed KPKP form with h = 0."""
+    """X of K_a + P_{l+1} + K_3 (a >= 3), the chain x_kpk at b = 3."""
     if a < 3 or l < 0:
         raise ParameterError(f"needs a >= 3 and l >= 0, got {(a, l)}")
-    return x_kpkp_b3(a, l, 0)
+    return x_kpk(a, 3, l)
 
 
 def x_pkp(g: int, a: int, h: int) -> ESymFunc:
@@ -422,11 +432,31 @@ def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
 def x_tw_path(n: int, l: int) -> ESymFunc:
     """X of the path on n vertices twinned at its l-th vertex (2 <= l <= n-1).
 
-    That is the lollipop K_1^{n-1} twinned at distance n - l from the leaf.
+    The fractional weights of the expansion cancel against w: the head term
+    (1 - 2/i_1) w_I weighs i_1 - 2 for its first part, and (1 - 1/theta_K(l+t)) w_K
+    weighs k - 2 for the part k read right after the one reaching l - 1 with
+    overshoot t <= 2 (that part's overshoot at l + t is k - 1).
     """
     if n < 3 or not 2 <= l <= n - 1:
         raise ParameterError(f"needs n >= 3 and 2 <= l <= n-1, got {(n, l)}")
-    return x_tw_lollipop(1, n - 1, n - l)
+
+    def overshoot_at_least_3(x: int, min_part: int):
+        return lambda s, p: 0 if p < min_part or s < x <= s + p < x + 3 else _wf(s, p)
+
+    def twin_sum(state, s, p):
+        if p < 2:
+            return ()
+        if state == "next":
+            return (("w", p - 2),)
+        coeff = _wf(s, p)
+        if s < l - 1 <= s + p:
+            return (("next", coeff),) if s + p - (l - 1) <= 2 else (("w", 2 * coeff),)
+        return (("w", coeff),)
+    acc = composition_sum(n + 1, twin_sum, "w")
+    _add(acc, _product_sum(n, overshoot_at_least_3(l - 1, 1)), (1,))
+    _add(acc, _product_sum(n, overshoot_at_least_3(n - l, 2)), (1,))
+    _add(acc, _product_sum(n, lambda s, p: (p - 2 if s == 0 else p - 1) if p >= 2 else 0), (1,))
+    return _finish(acc, n + 1, 2)
 
 
 def x_tw_cycle(n: int) -> ESymFunc:

@@ -21,6 +21,7 @@ from chromsym.compositions import (
 )
 from chromsym.families import FAMILIES, run_verification
 from chromsym.formulas import (
+    x_kpk,
     x_lollipop,
     x_pkp,
     x_kpkp,
@@ -153,10 +154,10 @@ def test_criterion_6_specialization_suite():
                         full = x_kpkp(a, g, b, h)
                         if b == 2:
                             assert full == x_lollipop(a, g + h + 1), (a, g, h)
-                        # x_kpk, x_kkp and x_pkp are evaluated by x_kpkp, so h == 0,
-                        # g == 0 and a == 1 are checked against their published forms
                         if h == 0:
-                            assert full == reference_formulas.x_kpk(a, b, g), (a, g, b)
+                            assert full == x_kpk(a, b, g), (a, g, b)
+                        # x_kkp and x_pkp are evaluated by x_kpkp, so g == 0
+                        # and a == 1 are checked against their published forms
                         if g == 0:
                             assert full == reference_formulas.x_kkp(a, b, h), (a, b, h)
                         if a == 1:

@@ -151,8 +151,9 @@ class TestKernel:
         assert got == literal_sum(n, table)
 
     def test_dead_states_carry_nothing(self):
-        # K_300^2 = K_1 + P_1 + K_300 + P_3, and X(1^k) is the chromatic
-        # polynomial k (k-1) ... (k-299) (k-1)^2
+        # K_300^2 = K_300 + P_3 + K_1: the last part is at least 300, so the
+        # few partitions of at most 2 before it are all that is carried, and
+        # X(1^k) is the chromatic polynomial k (k-1) ... (k-299) (k-1)^2
         k = 302
         assert x_lollipop(300, 2).evaluate_at([1] * k) == math.perm(k, 300) * (k - 1) ** 2
         # K_200 + P_2 + K_150, order 350, is two cliques glued to one edge
@@ -164,7 +165,7 @@ class TestKernel:
             csf_bruteforce(lollipop(300, 2), 10 ** 5)
 
     def test_moves_are_capped(self):
-        # the kernel records about 4M moves for K_2000^1 before it could
+        # the kernel records about 2M moves for K_2000^1 before it could
         # carry a partition, and refuses it past MAX_TERMS of them
         with pytest.raises(OrderLimitError, match=f"more than {MAX_TERMS} kernel moves"):
             x_lollipop(2000, 1)
@@ -199,9 +200,8 @@ class TestLollipops:
             assert x_lollipop(a, 0) == e_term((a,), math.factorial(a))
 
     def test_trivial_clique_is_path(self):
-        # x_lollipop(1, l) is evaluated by x_path: check the published form
         for l in range(0, 6):
-            assert reference_formulas.x_lollipop(1, l) == x_path(l + 1)
+            assert x_lollipop(1, l) == x_path(l + 1)
 
     def test_lollipop_is_melting_at_zero(self):
         for a in range(2, 6):
@@ -225,16 +225,18 @@ class TestCliquePathClique:
 
     def test_trivial_cliques_give_path(self):
         for l in range(0, 5):
-            assert reference_formulas.x_kpk(1, 1, l) == x_path(l + 1)
+            assert x_kpk(1, 1, l) == x_path(l + 1)
 
     def test_differential(self):
         assert x_kpk(3, 3, 2) == csf_bruteforce(kpk(3, 3, 2))
 
     def test_b3_form_matches_general_form(self):
+        # x_kpk_b3 is evaluated by x_kpk: check the published condensed form
         for a in (3, 4, 5):
             for l in (0, 1, 2):
-                assert x_kpk_b3(a, l) == x_kpk(a, 3, l)
-        assert x_kpk_b3(10, 18) == x_kpk(10, 3, 18)
+                assert reference_formulas.x_kpk_b3(a, l) == x_kpk(a, 3, l)
+        # order 30, too far for the per-composition form: the KPKP-b3 form at h = 0
+        assert x_kpkp_b3(10, 18, 0) == x_kpk(10, 3, 18)
 
     def test_b3_form_matches_cycle_form(self):
         assert x_kpk_b3(3, 1) == x_kpc(3, 1, 3)
@@ -262,13 +264,10 @@ class TestPkpKkp:
         assert x_kkp(2, 3, 1) == csf_bruteforce(kkp(2, 3, 1))
 
     def test_kkp_trivial_first_clique_is_lollipop(self):
-        # both are evaluated by x_kpkp(1, 0, b, h): check the published lollipop form
         for b in (2, 3, 4):
             for h in (0, 1, 2):
-                assert x_kkp(1, b, h) == reference_formulas.x_lollipop(b, h)
-        # order 30, too far for the per-composition form: K_9^21 is the
-        # melting lollipop with no edge removed
-        assert x_kkp(1, 9, 21) == x_melting_lollipop(9, 21, 0)
+                assert x_kkp(1, b, h) == x_lollipop(b, h)
+        assert x_kkp(1, 9, 21) == x_lollipop(9, 21)
 
 
 class TestKpcTadpole:
