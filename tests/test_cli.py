@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,8 @@ import chromsym
 from chromsym.cli import PARAM_FLAGS, main, parse_args
 from chromsym.families import FAMILIES, Family
 from chromsym.formulas import x_kpkp
-from chromsym.graphs import complete, format_edge_list, path, tadpole, twin
+from chromsym.graphs import (complete, format_edge_list, graph_from_edges, kpk, path,
+                             tadpole, twin)
 from chromsym.oracle import csf_bruteforce
 from chromsym.symfunc import ESymFunc, e_term
 
@@ -133,6 +135,21 @@ class TestOracleCmd:
         assert code == 0
         from chromsym.formulas import x_cycle
         assert out.strip() == x_cycle(5).to_text()
+
+    def test_relabelled_file_matches_family(self, capsys, tmp_path):
+        # X does not depend on the labels: a kpk with shuffled labels, which
+        # the oracle walks in its own vertex order, prints the family's bytes
+        g = kpk(6, 4, 3)
+        label = list(range(g.n_vertices))
+        random.Random(3).shuffle(label)
+        f = tmp_path / "kpk.txt"
+        f.write_text(format_edge_list(
+            graph_from_edges(g.n_vertices, [(label[u], label[v]) for u, v in g.edges])))
+        code, out, _ = run(capsys, "oracle", "--graph", str(f), "--format", "structured")
+        assert code == 0
+        code, want, _ = run(capsys, "oracle", "--family", "kpk", "--a", "6", "--b", "4",
+                            "--l", "3", "--format", "structured")
+        assert code == 0 and out == want
 
     def test_budget_exit_code(self, capsys, tmp_path):
         f = tmp_path / "k8.txt"

@@ -18,10 +18,12 @@ from chromsym.graphs import (
     conjoin,
     cycle,
     disjoint_union,
+    graph_from_edges,
     infinity,
     kayak,
     kpk,
     lollipop,
+    melting_lollipop,
     path,
     rooted_complete,
     rooted_cycle,
@@ -371,21 +373,89 @@ class TestSharedMemo:
         assert oracle._shared_terms == sum(map(len, values))
 
     def test_cycle_arcs_share_their_paths(self):
-        # the arcs a cycle leaves are paths, so a 15-cycle stores one shape
-        # per arc length, where a memo per set of vertices holds 92 sets
-        clear_shared_memo()
-        graph_x(cycle(15))
-        assert len(oracle._shared) <= 15
+        # the arcs a cycle leaves are paths, so a cycle, which the vertex
+        # order walks in its given labels, stores one shape per arc length,
+        # where a memo per set of vertices holds 92 sets at order 15
+        for n in (15, 40):
+            clear_shared_memo()
+            graph_x(cycle(n))
+            assert len(oracle._shared) == n - 1
 
     def test_verify_sweep_shares_remainders(self):
-        # a sweep at max-n 9 reaches 5412 sets of vertices left, but only
-        # 476 distinct induced subgraphs
+        # a sweep at max-n 9 reaches 4232 sets of vertices left, but only
+        # 380 distinct induced subgraphs
         clear_shared_memo()
         csf_bruteforce.cache_clear()
         for tag in FAMILIES:
             for rec in run_verification(tag, 9):
                 assert rec.status != "fail", rec
         assert len(oracle._shared) < 600
+
+
+class TestVertexOrder:
+    """The order in which the block sum lays out its classes of twins."""
+
+    @pytest.mark.parametrize("g, order", [
+        # from the leaf, through the path into the clique
+        (lollipop(4, 2), [5, 4, 3, 0, 1, 2]),
+        # no leaf: from the end of the smaller clique, whose vertices 6 and
+        # 7 are simplicial, of degree 2
+        (kpk(4, 3, 2), [6, 7, 5, 4, 3, 0, 1, 2]),
+        # no simplicial vertex: from the vertex of largest degree
+        (Graph(7, frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6)})),
+         [3, 0, 1, 2, 4, 5, 6]),
+        (cycle(5), [0, 1, 2, 3, 4]),
+        # the leaf 4 before the triangle's vertices of degree 2
+        (Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)})), [1, 0, 4, 2, 3]),
+        # the isolated vertex, of degree 0, then each component from its
+        # lowest vertex
+        (Graph(7, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)})),
+         [6, 0, 1, 2, 3, 4, 5]),
+    ], ids=["lollipop4_2", "kpk4_3_2", "two_squares", "cycle5", "leaf_first", "disconnected"])
+    def test_rule(self, g, order):
+        assert oracle._vertex_order(neighbour_masks(g)) == order
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 3), st.randoms(use_true_random=False))
+    def test_relabelling_keeps_the_result(self, n, isolated, rng):
+        # edges only among the first n - isolated vertices, at a density
+        # that leaves many graphs disconnected
+        density = rng.random()
+        m = n - isolated
+        g = Graph(n, frozenset((u, v) for u in range(m) for v in range(u + 1, m)
+                               if rng.random() < density))
+        label = list(range(n))
+        rng.shuffle(label)
+        h = graph_from_edges(n, [(label[u], label[v]) for u, v in g.edges])
+        clear_shared_memo()
+        want = graph_x(g)
+        for x in (g, h):
+            assert sorted(oracle._vertex_order(neighbour_masks(x))) == list(range(n))
+            assert graph_x(x) == want
+            clear_shared_memo()
+            got = oracle._e_coefficients(n, sorted(x.edges))
+            assert ESymFunc.from_packed(got, n) == want, (n, sorted(x.edges))
+
+    @pytest.mark.parametrize("g, most", [
+        # clique first, a cold call computed 344 and 728 shapes
+        (lollipop(13, 27), 40),
+        (melting_lollipop(20, 20, 5), 40),
+        # from the end of K_3, not from the vertex of largest degree, which
+        # leaves what a block takes of K_10 in every later set: 145 shapes
+        (kpk(3, 10, 12), 43),
+    ], ids=["lollipop13_27", "melting_lollipop20_20_5", "kpk3_10_12"])
+    def test_clique_chains_walk_from_an_end(self, g, most):
+        clear_shared_memo()
+        graph_x(g)
+        assert len(oracle._shared) <= most
+
+
+def neighbour_masks(g: Graph) -> list[int]:
+    nbrs = [0] * g.n_vertices
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
 
 
 class TestTripleDeletion:
