@@ -39,6 +39,8 @@ def iter_compositions(n: int, min_part: int) -> Iterator[Composition]:
     """Compositions of n with every part at least min_part, in lexicographic order."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if min_part < 1:
+        raise ValueError(f"min_part must be positive, got {min_part}")
     tails: list[list[Composition]] = [[()]]
     for m in range(1, min(n, _TAIL) + 1):
         tails.append([(first,) + rest for first in range(min_part, m + 1)

@@ -1,11 +1,14 @@
 """Registry of graph families: evaluators, constructors, and verification grids.
 
 Each family ties together a closed-form evaluator, the matching graph
-constructor, its parameter ranges, and a grid enumerator.  A grid is indexed
-by the family's own size parameter n (the homogeneous degree of the
-expansion for the plain chains; the size of the untwinned base graph for the
-twinned path and cycle), so ``grid(max_n)`` yields every admissible
-parameter tuple with n <= max_n in sorted order.
+constructor, its parameter names, and a grid enumerator.  A grid is indexed
+by the family's own size parameter n (the order of the graph; the order of
+the untwinned base graph for the twinned path and cycle), so ``grid(max_n)``
+yields every admissible parameter tuple with n <= max_n in lexicographic
+order.  For every family but the clique chain, n is the sum of the
+parameters plus a fixed offset, and the admissible tuples are those with
+each parameter at least its lower bound; melting and twinned lollipops and
+twinned paths add one last parameter whose range depends on the others.
 """
 
 from __future__ import annotations
@@ -32,165 +35,74 @@ class Family:
     grid: Callable[[int], Iterator[Params]]
 
 
-def _grid_path(max_n: int) -> Iterator[Params]:
-    for n in range(1, max_n + 1):
-        yield {"n": n}
-
-
-def _grid_cycle(max_n: int) -> Iterator[Params]:
-    for n in range(3, max_n + 1):
-        yield {"n": n}
-
-
 def _grid_kchain(max_n: int) -> Iterator[Params]:
     for n in range(2, max_n + 1):
         for parts in compositions_min2(n):
             yield {"parts": parts}
 
 
-def _grid_lollipop(max_n: int) -> Iterator[Params]:
-    for a in range(2, max_n + 1):
-        for l in range(max_n - a + 1):
-            yield {"a": a, "l": l}
+def _family(tag: str, params: str, summary: str, evaluate: Callable[..., ESymFunc],
+            build_graph: Callable[..., Graph], lows: tuple[int, ...], offset: int,
+            last: Callable[..., range] | None = None) -> Family:
+    """A family whose grid bounds its parameters below by lows and their sum by max_n - offset.
 
+    ``last``, if given, maps the bounded parameters to the range of one more,
+    dependent, parameter that comes after them.
+    """
+    names = tuple(params.split())
 
-def _grid_melting(max_n: int) -> Iterator[Params]:
-    for a in range(2, max_n + 1):
-        for l in range(max_n - a + 1):
-            for k in range(a):
-                yield {"a": a, "l": l, "k": k}
-
-
-def _grid_kpk(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n + 1):
-        for b in range(1, max_n + 2 - a):
-            for l in range(max_n + 2 - a - b):
-                yield {"a": a, "b": b, "l": l}
-
-
-def _grid_kpk_b3(max_n: int) -> Iterator[Params]:
-    for a in range(3, max_n - 1):
-        for l in range(max_n - a - 1):
-            yield {"a": a, "l": l}
-
-
-def _grid_pkp(max_n: int) -> Iterator[Params]:
-    for g in range(max_n - 1):
-        for a in range(2, max_n + 1 - g):
-            for h in range(max_n + 1 - g - a):
-                yield {"g": g, "a": a, "h": h}
-
-
-def _grid_kkp(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n + 1):
-        for b in range(2, max_n + 2 - a):
-            for h in range(max_n + 2 - a - b):
-                yield {"a": a, "b": b, "h": h}
-
-
-def _grid_kpc(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n + 1):
-        for l in range(max_n - a):
-            for c in range(3, max_n + 2 - a - l):
-                yield {"a": a, "l": l, "c": c}
-
-
-def _grid_tadpole(max_n: int) -> Iterator[Params]:
-    for c in range(3, max_n + 1):
-        for l in range(max_n - c + 1):
-            yield {"c": c, "l": l}
-
-
-def _grid_kpkp(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n + 1):
-        for g in range(max_n + 1 - a):
-            for b in range(2, max_n + 2 - a - g):
-                for h in range(max_n + 2 - a - g - b):
-                    yield {"a": a, "g": g, "b": b, "h": h}
-
-
-def _grid_kpkp_b3(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n - 1):
-        for g in range(max_n - 1 - a):
-            for h in range(max_n - 1 - a - g):
-                yield {"a": a, "g": g, "h": h}
-
-
-def _grid_tw_path(max_n: int) -> Iterator[Params]:
-    for n in range(3, max_n + 1):
-        for l in range(2, n):
-            yield {"n": n, "l": l}
-
-
-def _grid_tw_cycle(max_n: int) -> Iterator[Params]:
-    for n in range(3, max_n + 1):
-        yield {"n": n}
-
-
-def _grid_tw_lollipop(max_n: int) -> Iterator[Params]:
-    for a in range(1, max_n - 2):
-        for l in range(2, max_n - a):
-            for h in range(1, l):
-                yield {"a": a, "l": l, "h": h}
-
-
-def _grid_kayak(max_n: int) -> Iterator[Params]:
-    for a in range(3, max_n + 1):
-        for b in range(3, max_n + 2 - a):
-            for l in range(max_n + 2 - a - b):
-                yield {"a": a, "b": b, "l": l}
-
-
-def _grid_infinity(max_n: int) -> Iterator[Params]:
-    for a in range(3, max_n + 1):
-        for b in range(3, max_n + 2 - a):
-            yield {"a": a, "b": b}
+    def grid(max_n: int) -> Iterator[Params]:
+        rows: list[tuple[int, ...]] = [()]
+        for i, low in enumerate(lows):
+            top = max_n - offset - sum(lows[i + 1:])
+            rows = [row + (v,) for row in rows for v in range(low, top - sum(row) + 1)]
+        if last is not None:
+            rows = [row + (v,) for row in rows for v in last(*row)]
+        return (dict(zip(names, row)) for row in rows)
+    return Family(tag, names, summary, evaluate, build_graph, grid)
 
 
 FAMILIES: dict[str, Family] = {
     f.tag: f for f in [
-        Family("path", ("n",), "path on n vertices",
-               formulas.x_path, graphs.path, _grid_path),
-        Family("cycle", ("n",), "cycle on n vertices",
-               formulas.x_cycle, graphs.cycle, _grid_cycle),
+        _family("path", "n", "path on n vertices",
+                formulas.x_path, graphs.path, (1,), 0),
+        _family("cycle", "n", "cycle on n vertices",
+                formulas.x_cycle, graphs.cycle, (3,), 0),
         Family("kchain", ("parts",), "chain of cliques sized by a composition (parts >= 2)",
                formulas.x_kchain, graphs.k_chain, _grid_kchain),
-        Family("lollipop", ("a", "l"), "clique K_a with a pendant path of length l",
-               formulas.x_lollipop, graphs.lollipop, _grid_lollipop),
-        Family("melting-lollipop", ("a", "l", "k"),
-               "lollipop with k clique edges removed at the center",
-               formulas.x_melting_lollipop, graphs.melting_lollipop, _grid_melting),
-        Family("kpk", ("a", "b", "l"), "cliques K_a and K_b joined by a path of length l",
-               formulas.x_kpk, graphs.kpk, _grid_kpk),
-        Family("kpk-b3", ("a", "l"), "K_a joined to a triangle by a path (condensed form)",
-               formulas.x_kpk_b3, lambda a, l: graphs.kpk(a, 3, l), _grid_kpk_b3),
-        Family("pkp", ("g", "a", "h"), "clique K_a with pendant paths of lengths g and h",
-               formulas.x_pkp, graphs.pkp, _grid_pkp),
-        Family("kkp", ("a", "b", "h"), "cliques K_a + K_b with a pendant path of length h",
-               formulas.x_kkp, graphs.kkp, _grid_kkp),
-        Family("kpc", ("a", "l", "c"), "clique K_a joined to a cycle C_c by a path of length l",
-               formulas.x_kpc, graphs.kpc, _grid_kpc),
-        Family("tadpole", ("c", "l"), "cycle C_c with a pendant path of length l",
-               formulas.x_tadpole, graphs.tadpole, _grid_tadpole),
-        Family("kpkp", ("a", "g", "b", "h"),
-               "chain K_a + path(g) + K_b + path(h)",
-               formulas.x_kpkp, graphs.kpkp, _grid_kpkp),
-        Family("kpkp-b3", ("a", "g", "h"),
-               "chain K_a + path(g) + K_3 + path(h) (condensed form)",
-               formulas.x_kpkp_b3, lambda a, g, h: graphs.kpkp(a, g, 3, h),
-               _grid_kpkp_b3),
-        Family("tw-path", ("n", "l"), "path on n vertices twinned at vertex l",
-               formulas.x_tw_path, graphs.tw_path, _grid_tw_path),
-        Family("tw-cycle", ("n",), "cycle on n vertices twinned at a vertex",
-               formulas.x_tw_cycle, graphs.tw_cycle, _grid_tw_cycle),
-        Family("tw-lollipop", ("a", "l", "h"),
-               "lollipop twinned at the path vertex at distance h from the leaf",
-               formulas.x_tw_lollipop, graphs.tw_lollipop, _grid_tw_lollipop),
-        Family("kayak", ("a", "b", "l"),
-               "cycles C_a and C_b joined by a path of length l",
-               formulas.x_kayak, graphs.kayak, _grid_kayak),
-        Family("infinity", ("a", "b"), "cycles C_a and C_b sharing a vertex",
-               formulas.x_infinity, graphs.infinity, _grid_infinity),
+        _family("lollipop", "a l", "clique K_a with a pendant path of length l",
+                formulas.x_lollipop, graphs.lollipop, (2, 0), 0),
+        _family("melting-lollipop", "a l k",
+                "lollipop with k clique edges removed at the center",
+                formulas.x_melting_lollipop, graphs.melting_lollipop, (2, 0), 0,
+                lambda a, l: range(a)),
+        _family("kpk", "a b l", "cliques K_a and K_b joined by a path of length l",
+                formulas.x_kpk, graphs.kpk, (1, 1, 0), -1),
+        _family("kpk-b3", "a l", "K_a joined to a triangle by a path",
+                formulas.x_kpk_b3, lambda a, l: graphs.kpk(a, 3, l), (3, 0), 2),
+        _family("pkp", "g a h", "clique K_a with pendant paths of lengths g and h",
+                formulas.x_pkp, graphs.pkp, (0, 2, 0), 0),
+        _family("kkp", "a b h", "cliques K_a + K_b with a pendant path of length h",
+                formulas.x_kkp, graphs.kkp, (1, 2, 0), -1),
+        _family("kpc", "a l c", "clique K_a joined to a cycle C_c by a path of length l",
+                formulas.x_kpc, graphs.kpc, (1, 0, 3), -1),
+        _family("tadpole", "c l", "cycle C_c with a pendant path of length l",
+                formulas.x_tadpole, graphs.tadpole, (3, 0), 0),
+        _family("kpkp", "a g b h", "chain K_a + path(g) + K_b + path(h)",
+                formulas.x_kpkp, graphs.kpkp, (1, 0, 2, 0), -1),
+        _family("kpkp-b3", "a g h", "chain K_a + path(g) + K_3 + path(h)",
+                formulas.x_kpkp_b3, lambda a, g, h: graphs.kpkp(a, g, 3, h), (1, 0, 0), 2),
+        _family("tw-path", "n l", "path on n vertices twinned at vertex l",
+                formulas.x_tw_path, graphs.tw_path, (3,), 0, lambda n: range(2, n)),
+        _family("tw-cycle", "n", "cycle on n vertices twinned at a vertex",
+                formulas.x_tw_cycle, graphs.tw_cycle, (3,), 0),
+        _family("tw-lollipop", "a l h",
+                "lollipop twinned at the path vertex at distance h from the leaf",
+                formulas.x_tw_lollipop, graphs.tw_lollipop, (1, 2), 1, lambda a, l: range(1, l)),
+        _family("kayak", "a b l", "cycles C_a and C_b joined by a path of length l",
+                formulas.x_kayak, graphs.kayak, (3, 3, 0), -1),
+        _family("infinity", "a b", "cycles C_a and C_b sharing a vertex",
+                formulas.x_infinity, graphs.infinity, (3, 3), -1),
     ]
 }
 

@@ -25,13 +25,13 @@ result is e-positive, which all the families are.
 The per-composition definitions are kept in ``tests/reference_formulas.py``
 and checked against these evaluators.
 
-Five evaluators are special cases of others (the KPK chain covers lollipops
+Six evaluators are special cases of others (the KPK chain covers lollipops
 and the condensed KPK-b3 form, and the paper's KPKP and kayak-paddle
-expansions cover KKP and PKP chains and infinity graphs); each checks its
-parameters and makes one call: ``x_lollipop(a, l) = x_kpk(a, 1, l)``
+expansions cover KKP, PKP and KPKP-b3 chains and infinity graphs); each checks
+its parameters and makes one call: ``x_lollipop(a, l) = x_kpk(a, 1, l)``
 (K_a^l = K_a + P_{l+1} + K_1), ``x_kpk_b3(a, l) = x_kpk(a, 3, l)``,
-``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``,
-``x_pkp(g, a, h) = x_kpkp(1, g, a, h)`` and ``x_infinity(a, b) = x_kayak(a, b, 0)``.
+``x_kkp(a, b, h) = x_kpkp(a, 0, b, h)``, ``x_pkp(g, a, h) = x_kpkp(1, g, a, h)``,
+``x_kpkp_b3(a, g, h) = x_kpkp(a, g, 3, h)`` and ``x_infinity(a, b) = x_kayak(a, b, 0)``.
 ``x_kpk`` and ``x_tw_path`` keep their own forms, because the general forms
 carry more kernel terms for them and so reach MAX_TERMS sooner:
 ``x_kpkp(a, l, b, 0)`` refuses ``x_kpk(3, 5, 52)`` by the terms held and
@@ -361,29 +361,14 @@ def x_tadpole(c: int, l: int) -> ESymFunc:
 # clique-path-clique-path chains
 # ----------------------------------------------------------------------
 
-def _kpkp_sum(n: int, a: int, b: int, h: int, last) -> Acc:
-    """A sum for the clique-path-clique-path chains, settled at the last part.
-
-    The state is (theta_K(h+1) >= b - 1 once known, K[-2] >= a, K[-2] started
-    at <= h, i.e. K[-1] + K[-2] >= n - h); ``last(s, p, *state)`` weighs the
-    last part p, against w of the parts before it.
-    """
-    def step(state, s, p):
-        high, prev_big, near = state
-        if s < h + 1 <= s + p:
-            high = s + p - h - 1 >= b - 1
-        if s + p < n:
-            return (((high, p >= a, s <= h), _wf(s, p)),)
-        return ((None, last(s, p, high, prev_big, near)),)
-    return composition_sum(n, step, (None, False, False))
-
-
 def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
     """X of the chain K_a + P_{g+1} + K_b + P_{h+1} (order n = a+g+b+h-1).
 
     Five composition sums plus the (b-1) n e_n head term; the single-part
     composition contributes only to the head term.  One f3 sum is subtracted,
-    so positivity holds only for the total.
+    so positivity holds only for the total.  The state is (theta_K(h+1) >= b - 1
+    once known, K[-2] >= a, K[-2] started at <= h, i.e. K[-1] + K[-2] >= n - h),
+    and the last part p is weighed against w of the parts before it.
     """
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ParameterError(f"needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
@@ -405,24 +390,23 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
         if near and p <= min(a - 1, b - 2):
             coeff -= f3
         return coeff
-    acc = _add({pack((n,)): (b - 1) * n}, _kpkp_sum(n, a, b, h, last))
+
+    def step(state, s, p):
+        high, prev_big, near = state
+        if s < h + 1 <= s + p:
+            high = s + p - h - 1 >= b - 1
+        if s + p < n:
+            return (((high, p >= a, s <= h), _wf(s, p)),)
+        return ((None, last(s, p, high, prev_big, near)),)
+    acc = _add({pack((n,)): (b - 1) * n}, composition_sum(n, step, (None, False, False)))
     return _finish(acc, n, factorial(a - 1) * factorial(b - 2))
 
 
 def x_kpkp_b3(a: int, g: int, h: int) -> ESymFunc:
-    """X of K_a + P_{g+1} + K_3 + P_{h+1} in its condensed three-sum form."""
+    """X of K_a + P_{g+1} + K_3 + P_{h+1}, the chain x_kpkp at b = 3."""
     if a < 1 or g < 0 or h < 0:
         raise ParameterError(f"needs a >= 1 and g, h >= 0, got {(a, g, h)}")
-    n = a + g + h + 2
-
-    def last(s, p, high, prev_big, near):
-        coeff = 2 * _wf(s, p) if high and p >= a else 0
-        if s and high and p == 1 and prev_big:
-            coeff += 1
-        if s and not high and p >= 2 and (near or prev_big):
-            coeff += p - 2
-        return coeff
-    return _finish(_kpkp_sum(n, a, 3, h, last), n, factorial(a - 1))
+    return x_kpkp(a, g, 3, h)
 
 
 # ----------------------------------------------------------------------

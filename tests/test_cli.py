@@ -91,14 +91,14 @@ class TestExpand:
         assert code == 2 and "error" in err
 
     def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
-        # kkp is evaluated by the KPKP sum: a ValueError raised there is a
-        # fault, while a parameter out of range stays a usage error
+        # kkp is evaluated by the KPKP composition sum: a ValueError raised
+        # there is a fault, while a parameter out of range stays a usage error
         from chromsym import formulas
 
         def broken(*args):
             raise ValueError("bad state")
 
-        monkeypatch.setattr(formulas, "_kpkp_sum", broken)
+        monkeypatch.setattr(formulas, "composition_sum", broken)
         code, out, err = run(capsys, "expand", "--family", "kkp", "--a", "2", "--b", "3", "--h", "1")
         assert code == 4 and out == "" and err == "internal error: ValueError: bad state\n"
         code, out, err = run(capsys, "expand", "--family", "kkp", "--a", "0", "--b", "3", "--h", "1")

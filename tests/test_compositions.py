@@ -48,6 +48,11 @@ class TestEnumeration:
             seq = tuple(iter_compositions(n, 1))
             assert list(seq) == sorted(seq)
 
+    def test_bad_arguments_rejected(self):
+        for n, min_part in ((-1, 1), (3, 0), (0, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                next(iter_compositions(n, min_part))
+
     def test_min2_examples(self):
         assert compositions_min2(1) == ()
         assert set(compositions_min2(4)) == {(4,), (2, 2)}

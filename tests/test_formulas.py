@@ -306,8 +306,11 @@ class TestKpkp:
         assert all(type(c) is int for c in f.terms.values())
 
     def test_b3_matches_full(self):
-        assert x_kpkp_b3(2, 1, 1) == x_kpkp(2, 1, 3, 1)
-        assert x_kpkp_b3(7, 9, 12) == x_kpkp(7, 9, 3, 12)
+        # evaluated as x_kpkp at b = 3: held to the published condensed form,
+        # and past the grid to the oracle
+        for args in ((2, 1, 1), (3, 2, 2), (1, 3, 2)):
+            assert x_kpkp_b3(*args) == reference_formulas.x_kpkp_b3(*args)
+        assert x_kpkp_b3(5, 6, 8) == csf_bruteforce(kpkp(5, 6, 3, 8), 100000)
 
     def test_b3_trivial_clique_matches_pkp(self):
         assert x_kpkp_b3(1, 1, 1) == x_pkp(1, 3, 1)
@@ -429,14 +432,15 @@ def test_every_composition_coefficient_is_nonnegative(tag, monkeypatch):
     (lollipop, x_lollipop, (20, 6), 196),
     (k_chain, x_kchain, ((10, 9, 8),), 109),
     (kpkp, x_kpkp, (8, 3, 7, 2), 54),
+    (kpkp, lambda a, g, b, h: x_kpkp_b3(a, g, h), (7, 9, 3, 12), 100000),
     (melting_lollipop, x_melting_lollipop, (12, 3, 5), 64),
     (kkp, x_kkp, (7, 6, 9), 45),
     (pkp, x_pkp, (6, 8, 6), 40),
     (infinity, x_infinity, (13, 18), 31),
 ], ids=["path22", "cycle20", "kayak678", "tw_path19_9", "kpk9_8_6", "kpk8_1_9", "kpk1_7_9",
         "kpk_b3_10_10", "tadpole8_12", "lollipop9_8",
-        "lollipop20_6", "kchain10_9_8", "kpkp8372", "melting12_3_5", "kkp7_6_9", "pkp6_8_6",
-        "infinity13_18"])
+        "lollipop20_6", "kchain10_9_8", "kpkp8372", "kpkp_b3_7_9_12", "melting12_3_5",
+        "kkp7_6_9", "pkp6_8_6", "infinity13_18"])
 def test_matches_oracle_past_grid(build, formula, args, max_edges):
     # sparse graphs above order 13, and clique families far past the 24-edge
     # budget, where the oracle counts each clique's twins by binomials
