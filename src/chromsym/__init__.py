@@ -19,9 +19,7 @@ from .compositions import (
 )
 from .symfunc import ESymFunc, e_term, one, p_to_e, zero
 from .graphs import (
-    DoubleRootedGraph,
     Graph,
-    RootedGraph,
     chain,
     complete,
     conjoin,

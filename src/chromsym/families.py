@@ -79,7 +79,7 @@ FAMILIES: dict[str, Family] = {
         _family("kpk", "a b l", "cliques K_a and K_b joined by a path of length l",
                 formulas.x_kpk, graphs.kpk, (1, 1, 0), -1),
         _family("kpk-b3", "a l", "K_a joined to a triangle by a path",
-                formulas.x_kpk_b3, lambda a, l: graphs.kpk(a, 3, l), (3, 0), 2),
+                formulas.x_kpk_b3, graphs.kpk_b3, (3, 0), 2),
         _family("pkp", "g a h", "clique K_a with pendant paths of lengths g and h",
                 formulas.x_pkp, graphs.pkp, (0, 2, 0), 0),
         _family("kkp", "a b h", "cliques K_a + K_b with a pendant path of length h",
@@ -91,7 +91,7 @@ FAMILIES: dict[str, Family] = {
         _family("kpkp", "a g b h", "chain K_a + path(g) + K_b + path(h)",
                 formulas.x_kpkp, graphs.kpkp, (1, 0, 2, 0), -1),
         _family("kpkp-b3", "a g h", "chain K_a + path(g) + K_3 + path(h)",
-                formulas.x_kpkp_b3, lambda a, g, h: graphs.kpkp(a, g, 3, h), (1, 0, 0), 2),
+                formulas.x_kpkp_b3, graphs.kpkp_b3, (1, 0, 0), 2),
         _family("tw-path", "n l", "path on n vertices twinned at vertex l",
                 formulas.x_tw_path, graphs.tw_path, (3,), 0, lambda n: range(2, n)),
         _family("tw-cycle", "n", "cycle on n vertices twinned at a vertex",

@@ -353,7 +353,9 @@ def x_kpc(a: int, l: int, c: int) -> ESymFunc:
 
 
 def x_tadpole(c: int, l: int) -> ESymFunc:
-    """X of the cycle C_c with a pendant path of length l."""
+    """X of the cycle C_c with a pendant path of length l, which is K_1 + P_{l+1} + C_c."""
+    if c < 2 or l < 0:
+        raise ParameterError(f"needs c >= 2 and l >= 0, got {(c, l)}")
     return x_kpc(1, l, c)
 
 

@@ -1,12 +1,18 @@
 """Simple graphs and the rooted-chain constructors for every supported family.
 
 Graphs are immutable: a vertex count and a frozenset of sorted edge pairs.
-Composite families are built by gluing rooted pieces in a chain, identifying
-the right root of each piece with the left root of the next.  Labeling is
-deterministic: the first piece keeps its labels, each later piece maps its
-left root onto the identified vertex and its remaining vertices, in
-increasing order, onto fresh labels.  Equality of two constructed graphs is
-therefore label equality, not isomorphism.
+A piece is a triple (graph, left root, right root); the roots coincide for a
+cycle or a one-vertex piece.  Composite families are built by gluing pieces
+in a chain, identifying the right root of each piece with the left root of
+the next.  Labeling is deterministic: the first piece keeps its labels, each
+later piece maps its left root onto the identified vertex and its remaining
+vertices, in increasing order, onto fresh labels.  Equality of two
+constructed graphs is therefore label equality, not isomorphism.
+
+A one-vertex piece adds no vertex, so lollipops, KKP and PKP chains, the
+b = 3 chains, tadpoles and infinity graphs check their own parameters and
+are then built, with the same labels, as the KPK, KPKP, KPC and kayak chains
+they are special cases of (a lollipop is kpk(a, 1, l)).
 """
 
 from __future__ import annotations
@@ -52,35 +58,12 @@ def graph_from_edges(n_vertices: int, edges) -> Graph:
     return Graph(n_vertices, norm)
 
 
-@dataclass(frozen=True)
-class RootedGraph:
-    graph: Graph
-    root: int
-
-    def __post_init__(self):
-        if not 0 <= self.root < self.graph.n_vertices:
-            raise ValueError(f"root {self.root} out of range")
-
-
-@dataclass(frozen=True)
-class DoubleRootedGraph:
-    graph: Graph
-    root_u: int
-    root_v: int
-
-    def __post_init__(self):
-        n = self.graph.n_vertices
-        if not (0 <= self.root_u < n and 0 <= self.root_v < n):
-            raise ValueError("root out of range")
-        if self.root_u == self.root_v:
-            raise ValueError("roots of a double-rooted graph must be distinct")
-
-
-Piece = RootedGraph | DoubleRootedGraph
+Piece = tuple[Graph, int, int]
+"""A graph with a left and a right root, glued on by :func:`chain`; the roots may coincide."""
 
 
 # ----------------------------------------------------------------------
-# elementary graphs
+# elementary graphs, pieces and gluing
 # ----------------------------------------------------------------------
 
 def path(n: int) -> Graph:
@@ -105,74 +88,43 @@ def complete(n: int) -> Graph:
 
 
 def rooted_path(n: int) -> Piece:
-    """P_n with its endpoints as roots (a single root when n == 1)."""
-    g = path(n)
-    return RootedGraph(g, 0) if n == 1 else DoubleRootedGraph(g, 0, n - 1)
+    """P_n with its endpoints as roots."""
+    return path(n), 0, n - 1
 
 
 def rooted_complete(n: int) -> Piece:
-    """K_n rooted at 0 and n-1 (a single root when n == 1)."""
-    g = complete(n)
-    return RootedGraph(g, 0) if n == 1 else DoubleRootedGraph(g, 0, n - 1)
+    """K_n rooted at 0 and n-1."""
+    return complete(n), 0, n - 1
 
 
-def rooted_cycle(n: int) -> RootedGraph:
-    """C_n rooted at vertex 0."""
-    return RootedGraph(cycle(n), 0)
-
-
-# ----------------------------------------------------------------------
-# gluing machinery
-# ----------------------------------------------------------------------
-
-def _ends(piece: Piece) -> tuple[Graph, int, int]:
-    if isinstance(piece, DoubleRootedGraph):
-        return piece.graph, piece.root_u, piece.root_v
-    return piece.graph, piece.root, piece.root
-
-
-def _glue(parts: list[tuple[Graph, int, int]]) -> Graph:
-    g0, _, prev_v = parts[0]
-    n = g0.n_vertices
-    edges = set(g0.edges)
-    prev_label = prev_v
-    for g, u, v in parts[1:]:
-        mapping: dict[int, int] = {}
-        fresh = n
-        for x in range(g.n_vertices):
-            if x == u:
-                mapping[x] = prev_label
-            else:
-                mapping[x] = fresh
-                fresh += 1
-        n = fresh
-        for a, b in g.edges:
-            ma, mb = mapping[a], mapping[b]
-            edges.add((min(ma, mb), max(ma, mb)))
-        prev_label = mapping[v]
-    return Graph(n, frozenset(edges))
+def rooted_cycle(n: int) -> Piece:
+    """C_n with both roots at vertex 0."""
+    return cycle(n), 0, 0
 
 
 def chain(*pieces: Piece) -> Graph:
-    """Glue rooted pieces left to right, identifying each right root with the next left root.
+    """Glue pieces left to right, identifying each right root with the next left root.
 
     The result has order sum(|G_i|) - (number of pieces - 1).
     """
     if not pieces:
         raise ValueError("chain needs at least one piece")
-    return _glue([_ends(p) for p in pieces])
+    first, _, joint = pieces[0]
+    n, edges = first.n_vertices, set(first.edges)
+    for g, u, v in pieces[1:]:
+        label = [n + x - (x > u) for x in range(g.n_vertices)]
+        label[u] = joint
+        edges.update((min(label[a], label[b]), max(label[a], label[b])) for a, b in g.edges)
+        n += g.n_vertices - 1
+        joint = label[v]
+    return Graph(n, frozenset(edges))
 
 
 def conjoin(g: Piece, h: Piece, l: int) -> Graph:
-    """Join the roots of g and h by a path of length l (l = 0 identifies them).
+    """Join the right root of g to the left root of h by a path of length l >= 0.
 
-    For double-rooted pieces the right root of g and the left root of h are
-    used.  The result has order |g| + |h| + l - 1.
+    l = 0 identifies the two roots.  The result has order |g| + |h| + l - 1.
     """
-    if l < 0:
-        raise ValueError(f"path length must be nonnegative, got {l}")
-    if l == 0:
-        return chain(g, h)
     return chain(g, rooted_path(l + 1), h)
 
 
@@ -195,18 +147,13 @@ def k_chain(parts: Composition) -> Graph:
     return chain(*(rooted_complete(p) for p in parts))
 
 
-def _lollipop_base(a: int, l: int) -> Graph:
-    # clique labels 0..a-1, center a-1, pendant path a-1, a, ..., a+l-1
-    return chain(rooted_complete(a), rooted_path(l + 1)) if a >= 2 else path(l + 1)
-
-
 def lollipop(a: int, l: int) -> Graph:
-    """Clique K_a with a pendant path of length l at its center (vertex a-1)."""
+    """Clique K_a with a pendant path of length l at vertex a-1: kpk(a, 1, l)."""
     if a < 2:
         raise ParameterError(f"lollipop needs a >= 2, got {a}")
     if l < 0:
         raise ParameterError(f"lollipop needs l >= 0, got {l}")
-    return _lollipop_base(a, l)
+    return kpk(a, 1, l)
 
 
 def melting_lollipop(a: int, l: int, k: int) -> Graph:
@@ -217,9 +164,8 @@ def melting_lollipop(a: int, l: int, k: int) -> Graph:
         raise ParameterError(f"melting lollipop needs l >= 0, got {l}")
     if not 0 <= k <= a - 1:
         raise ParameterError(f"melting lollipop needs 0 <= k <= a-1, got k={k}")
-    base = _lollipop_base(a, l)
-    center = a - 1
-    removed = {(j, center) for j in range(k)}
+    base = kpk(a, 1, l)
+    removed = {(j, a - 1) for j in range(k)}
     return Graph(base.n_vertices, base.edges - removed)
 
 
@@ -230,18 +176,25 @@ def kpk(a: int, b: int, l: int) -> Graph:
     return chain(rooted_complete(a), rooted_path(l + 1), rooted_complete(b))
 
 
+def kpk_b3(a: int, l: int) -> Graph:
+    """K_a joined to a triangle by a path of length l: kpk(a, 3, l) with a >= 3."""
+    if a < 3 or l < 0:
+        raise ParameterError(f"kpk_b3 needs a >= 3 and l >= 0, got {(a, l)}")
+    return kpk(a, 3, l)
+
+
 def pkp(g: int, a: int, h: int) -> Graph:
-    """Path - clique - path chain P_{g+1} + K_a + P_{h+1}."""
+    """Path - clique - path chain P_{g+1} + K_a + P_{h+1}: kpkp(1, g, a, h)."""
     if g < 0 or h < 0 or a < 2:
         raise ParameterError(f"pkp needs g, h >= 0 and a >= 2, got {(g, a, h)}")
-    return chain(rooted_path(g + 1), rooted_complete(a), rooted_path(h + 1))
+    return kpkp(1, g, a, h)
 
 
 def kkp(a: int, b: int, h: int) -> Graph:
-    """Clique - clique - path chain K_a + K_b + P_{h+1}."""
+    """Clique - clique - path chain K_a + K_b + P_{h+1}: kpkp(a, 0, b, h)."""
     if a < 1 or b < 2 or h < 0:
         raise ParameterError(f"kkp needs a >= 1, b >= 2, h >= 0, got {(a, b, h)}")
-    return chain(rooted_complete(a), rooted_complete(b), rooted_path(h + 1))
+    return kpkp(a, 0, b, h)
 
 
 def kpkp(a: int, g: int, b: int, h: int) -> Graph:
@@ -253,6 +206,13 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
                  rooted_complete(b), rooted_path(h + 1))
 
 
+def kpkp_b3(a: int, g: int, h: int) -> Graph:
+    """Chain K_a + P_{g+1} + K_3 + P_{h+1}: kpkp(a, g, 3, h)."""
+    if a < 1 or g < 0 or h < 0:
+        raise ParameterError(f"kpkp_b3 needs a >= 1 and g, h >= 0, got {(a, g, h)}")
+    return kpkp(a, g, 3, h)
+
+
 def kpc(a: int, l: int, c: int) -> Graph:
     """Clique joined to a cycle by a path: K_a + P_{l+1} + C_c."""
     if a < 1 or l < 0 or c < 3:
@@ -262,7 +222,9 @@ def kpc(a: int, l: int, c: int) -> Graph:
 
 
 def tadpole(c: int, l: int) -> Graph:
-    """Cycle C_c with a pendant path of length l."""
+    """Cycle C_c with a pendant path of length l: kpc(1, l, c)."""
+    if c < 3 or l < 0:
+        raise ParameterError(f"tadpole needs c >= 3 and l >= 0, got {(c, l)}")
     return kpc(1, l, c)
 
 
@@ -290,12 +252,12 @@ def twin(g: Graph, v: int) -> Graph:
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"vertex {v} out of range")
     new = g.n_vertices
-    added = {(v, new)} | {(u, new) for u in g.neighbors(v)}
-    out = Graph(new + 1, g.edges | added)
-    if out.edge_count != g.edge_count + g.degree(v) + 1:
+    nbrs = g.neighbors(v)
+    out = Graph(new + 1, g.edges | {(v, new)} | {(u, new) for u in nbrs})
+    if out.edge_count != g.edge_count + len(nbrs) + 1:
         raise AssertionError(
             f"twin of vertex {v} has {out.edge_count} edges, expected "
-            f"{g.edge_count + g.degree(v) + 1}")
+            f"{g.edge_count + len(nbrs) + 1}")
     return out
 
 
@@ -321,9 +283,7 @@ def tw_lollipop(a: int, l: int, h: int) -> Graph:
     if a < 1 or l < 2 or not 1 <= h <= l - 1:
         raise ParameterError(
             f"tw_lollipop needs a >= 1, l >= 2, 1 <= h <= l-1, got {(a, l, h)}")
-    base = _lollipop_base(a, l)
-    leaf = a + l - 1
-    return twin(base, leaf - h)
+    return twin(kpk(a, 1, l), a + l - 1 - h)
 
 
 # ----------------------------------------------------------------------

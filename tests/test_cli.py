@@ -247,6 +247,32 @@ class TestOracleCmd:
         code, _, err = run(capsys, "oracle", "--family", "mystery", "--n", "4")
         assert code == 2 and "unknown family" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("oracle", "--family", "tadpole", "--c", "2", "--l", "1"),
+         "tadpole needs c >= 3 and l >= 0, got (2, 1)"),
+        (("expand", "--family", "tadpole", "--c", "1", "--l", "1"),
+         "needs c >= 2 and l >= 0, got (1, 1)"),
+        (("oracle", "--family", "kpk-b3", "--a", "0", "--l", "1"),
+         "kpk_b3 needs a >= 3 and l >= 0, got (0, 1)"),
+        (("oracle", "--family", "kpk-b3", "--a", "2", "--l", "1"),
+         "kpk_b3 needs a >= 3 and l >= 0, got (2, 1)"),
+        (("expand", "--family", "kpk-b3", "--a", "2", "--l", "1"),
+         "needs a >= 3 and l >= 0, got (2, 1)"),
+        (("oracle", "--family", "kpkp-b3", "--a", "0", "--g", "1", "--h", "1"),
+         "kpkp_b3 needs a >= 1 and g, h >= 0, got (0, 1, 1)"),
+        (("expand", "--family", "kpkp-b3", "--a", "1", "--g", "-1", "--h", "1"),
+         "needs a >= 1 and g, h >= 0, got (1, -1, 1)"),
+        (("oracle", "--family", "pkp", "--g", "0", "--a", "1", "--h", "0"),
+         "pkp needs g, h >= 0 and a >= 2, got (0, 1, 0)"),
+        (("oracle", "--family", "kkp", "--a", "1", "--b", "1", "--h", "0"),
+         "kkp needs a >= 1, b >= 2, h >= 0, got (1, 1, 0)"),
+    ])
+    def test_aliases_name_their_own_parameters(self, capsys, argv, message):
+        # a family built as a special case of another reports its own
+        # parameters, in its own order, not the general chain's
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
 
 class TestPositivity:
     def test_counterexample_reported(self, capsys, tmp_path):

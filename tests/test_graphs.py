@@ -1,9 +1,12 @@
 """Graph constructors: orders, edge counts, chain/twin behavior, edge lists."""
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromsym.families import FAMILIES
 from chromsym.graphs import (
     Graph,
     chain,
@@ -194,7 +197,40 @@ class TestEdgeList:
             parse_edge_list("\n\n")
 
     def test_rooted_helpers(self):
-        assert rooted_path(1).root == 0
-        rp = rooted_path(4)
-        assert (rp.root_u, rp.root_v) == (0, 3)
+        # a piece is (graph, left root, right root); the roots may coincide
+        assert rooted_path(1) == (path(1), 0, 0)
+        assert rooted_path(4) == (path(4), 0, 3)
+        assert rooted_complete(3) == (complete(3), 0, 2)
+        assert rooted_cycle(5) == (cycle(5), 0, 0)
+        assert chain(rooted_path(1), rooted_cycle(3), rooted_path(1)) == cycle(3)
         assert graph_from_edges(3, [(2, 1), (1, 2)]).edge_count == 1
+
+    def test_family_labels_pinned(self):
+        # the oracle breaks vertex-order ties by label and oracle --graph
+        # files name vertices by label, so every family keeps its labels:
+        # the first 16 hex digits of the sha256 of its grid(12) edge lists
+        want = {
+            "path": "94ac45cccf79ee67",
+            "cycle": "b7e96106202f634b",
+            "kchain": "f9c6295bcab12bba",
+            "lollipop": "b60c6edb66b87f41",
+            "melting-lollipop": "a4838fc8d937472f",
+            "kpk": "23fc20f5ead7186f",
+            "kpk-b3": "83b0ca2b1a5b2cc6",
+            "pkp": "9eb0a20460aa62d7",
+            "kkp": "f783cd55108fbaad",
+            "kpc": "19a8bbe26ec5a8e2",
+            "tadpole": "f058431f010c8ef0",
+            "kpkp": "92b7d0c8c9d15df1",
+            "kpkp-b3": "8988e4fc572d1768",
+            "tw-path": "cf72a2d646f3dee2",
+            "tw-cycle": "478ecd5cb06aecbc",
+            "tw-lollipop": "686304b53be5aba3",
+            "kayak": "a26ab020f47756c7",
+            "infinity": "cd1e2bcf9b82c400",
+        }
+        for tag, fam in FAMILIES.items():
+            h = hashlib.sha256()
+            for params in fam.grid(12):
+                h.update(format_edge_list(fam.build_graph(**params)).encode())
+            assert h.hexdigest()[:16] == want[tag], tag
