@@ -69,9 +69,11 @@ def _collect_params(args: SimpleNamespace) -> tuple[Family, dict]:
 
 def _check_digits(coefficients) -> None:
     """Raise OrderLimitError if an int coefficient has more decimal digits than
-    Python converts to text (sys.get_int_max_str_digits(), 0 for no limit)."""
+    Python converts to text (sys.get_int_max_str_digits(), 0 for no limit);
+    one of at most 3 * limit bits is below 8^limit, so needs no 10^limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(map(abs, coefficients), default=0) >= 10 ** limit:
+    top = max(map(abs, coefficients), default=0)
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
         raise OrderLimitError(f"a coefficient has more than {limit} digits, past Python's limit "
                               "for converting an integer to text")
 

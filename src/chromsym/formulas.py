@@ -84,15 +84,18 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
     carries partitions along the kept moves only.  Compositions with the
     same prefix sum, state and partition are merged, so the work grows with
     the number of partitions of n times the number of live states, not with
-    the 2^(n-1) compositions.  Partitions are packed keys
-    (:func:`~chromsym.symfunc.pack`), so adding a part adds its key.  The
-    result maps packed keys to their totals, without zero entries.  Raises
+    the 2^(n-1) compositions; moves that end at n are summed straight into
+    the result.  Partitions are packed keys (:func:`~chromsym.symfunc.pack`),
+    so adding a part adds its key.  The result maps packed keys to their
+    totals, without zero entries.  Raises
     OrderLimitError past 255 equal parts, past MAX_TERMS recorded moves
     (checked after every step call, so one state cannot record without
     bound), or past MAX_TERMS terms held after an offset.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return {0: 1}  # the empty composition, with no step to weigh
     # moves[s]: state -> [(p, new_state, coeff), ...] for every state reached at s
     moves: list[dict] = [{} for _ in range(n + 1)]
     moves[0][start] = []
@@ -118,11 +121,12 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
                 layer[state] = kept
             else:
                 del layer[state]
-    # layers[s]: state -> {packed partition of s: coefficient}
-    layers: list[dict] = [{} for _ in range(n + 1)]
+    # layers[s]: state -> {packed partition of s: coefficient}, for s < n
+    layers: list[dict] = [{} for _ in range(n)]
     if start in moves[0]:
         layers[0][start] = {0: 1}
-    held = len(layers[0])  # terms in the layers not yet read
+    total: Acc = {}
+    held = len(layers[0])  # terms in the layers not yet read, and in total
     for s in range(n):
         for state, poly in layers[s].items():
             held -= len(poly)
@@ -133,7 +137,7 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
                                                for key in poly):
                     raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
                                           "a partition, past the digit of packed keys")
-                out = layers[s + p].setdefault(new_state, {})
+                out = total if s + p == n else layers[s + p].setdefault(new_state, {})
                 held -= len(out)
                 for key, c in poly.items():
                     key += shift
@@ -142,9 +146,6 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
         layers[s] = moves[s] = {}
         if held > MAX_TERMS:
             raise OrderLimitError(f"order {n} holds more than {MAX_TERMS} terms after offset {s}")
-    total: Acc = {}
-    for poly in layers[n].values():
-        _add(total, poly)
     return {key: c for key, c in total.items() if c}
 
 

@@ -9,7 +9,9 @@ package computes, or :class:`fractions.Fraction` where a caller passes one.
 Anything else, such as a float, raises :class:`TypeError`.
 
 Values are immutable once constructed (``terms`` is a read-only mapping, so
-cached values cannot be altered); operations return new values.
+cached values cannot be altered); operations return new values.  The
+structured form (:meth:`ESymFunc.to_json`) is written directly, and equals
+``json.dumps`` of :meth:`ESymFunc.to_records`.
 
 Inner loops key partitions by one int instead: the multiplicity vector packed
 with a fixed digit, sum of m_i << DIGIT * (i - 1) for m_i parts equal to i
@@ -21,7 +23,6 @@ its cached single-degree case, unpacked.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -211,7 +212,10 @@ class ESymFunc:
                 for key, c in self.sorted_terms()]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_records())
+        """The records of :meth:`to_records`, written directly: ``json.dumps`` of them."""
+        return "[" + ", ".join([
+            f'{{"partition": {list(key)}, "num": {c.numerator}, "den": {c.denominator}}}'
+            for key, c in self.sorted_terms()]) + "]"
 
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "ESymFunc":
@@ -224,6 +228,7 @@ class ESymFunc:
 
     @staticmethod
     def from_json(text: str) -> "ESymFunc":
+        import json  # imported here, so that importing chromsym does not load it
         return ESymFunc.from_records(json.loads(text))
 
     def __repr__(self) -> str:
@@ -259,14 +264,15 @@ def pack(parts: Iterable[int]) -> int:
 
 def unpack(key: int) -> Partition:
     """Weakly decreasing parts of a packed key, read from its bytes, as a
-    digit is one byte: the last byte counts the largest part."""
-    data = key.to_bytes((key.bit_length() + 7) // 8, "little")[::-1]
-    top = len(data)
-    parts: list[int] = []
-    for i, m in enumerate(data):
+    digit is one byte: from the top byte, which counts the largest part, each
+    nonzero byte adds a run of equal parts."""
+    p = (key.bit_length() + 7) // 8
+    parts: Partition = ()
+    for m in key.to_bytes(p, "big"):  # m parts equal to p, p going down
         if m:
-            parts += [top - i] * m
-    return tuple(parts)
+            parts += (p,) * m
+        p -= 1
+    return parts
 
 
 class OrderLimitError(ValueError):

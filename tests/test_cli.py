@@ -443,3 +443,22 @@ class TestParser:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.splitlines()[-1] == "[]"
+
+    def test_import_and_structured_output_load_no_json(self):
+        code = ("import sys, chromsym.cli\n"
+                "print('json' in sys.modules)\n"
+                "assert chromsym.cli.main(['expand', '--family', 'kpkp', '--a', '3', '--g',\n"
+                "                          '1', '--b', '3', '--h', '1', '--format',\n"
+                "                          'structured']) == 0\n"
+                "print('json' in sys.modules)\n"
+                "from chromsym.formulas import x_kpkp\n"
+                "from chromsym.symfunc import ESymFunc\n"
+                "f = x_kpkp(3, 1, 3, 1)\n"
+                "assert ESymFunc.from_json(f.to_json()) == f\n"
+                "print('json' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(chromsym.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        lines = out.splitlines()
+        assert json.loads(lines[1]) == x_kpkp(3, 1, 3, 1).to_records()
+        assert (lines[0], lines[2], lines[3]) == ("False", "False", "True")

@@ -1,11 +1,13 @@
 """Exact e-basis arithmetic, power-sum conversion and serialization."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chromsym.compositions import rho
 from chromsym.symfunc import (ESymFunc, e_term, one, p_sum_to_e, p_to_e,
                               pack, unpack, zero)
 
@@ -170,6 +172,14 @@ class TestPackedKeys:
                 assert unpack(key + pack((n, 1, 1))) == tuple(
                     sorted(parts + (n, 1, 1), reverse=True))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.integers(1, 300), st.integers(1, 255), max_size=8),
+           st.randoms(use_true_random=False))
+    def test_unpack_reads_runs(self, multiplicities, rng):
+        parts = [p for p, m in multiplicities.items() for _ in range(m)]
+        rng.shuffle(parts)
+        assert unpack(pack(parts)) == rho(tuple(parts))
+
     def test_newton_matches_sorted_tuple_reference(self):
         for k, want in enumerate(newton_reference(20), 1):
             assert p_to_e(k).terms == want
@@ -261,6 +271,19 @@ class TestSerialization:
             {"partition": [5], "num": 50, "den": 1},
             {"partition": [4, 1], "num": 6, "den": 1},
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda n: st.dictionaries(
+        st.sampled_from(partitions(n)),
+        st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**9)),
+        max_size=6).map(lambda d: ESymFunc(d, n))))
+    @example(zero())
+    @example(one())
+    @example(e_term((300, 2), -5))
+    @example(e_term((1,) * 255, Fraction(-7, 3)))
+    @example(e_term((2,) * 255) + e_term((510,), 3))
+    def test_json_is_what_json_dumps_writes(self, f):
+        assert f.to_json() == json.dumps(f.to_records())
 
     @given(func_of_degree(4))
     def test_structured_round_trip(self, f):
