@@ -46,6 +46,15 @@ class TestExpand:
         from chromsym.graphs import kpkp
         assert parsed == csf_bruteforce(kpkp(3, 1, 3, 1))
 
+    def test_tadpole_reads_c2_as_one_edge(self, capsys):
+        # expand reads C_2 as a doubled edge, which colours like one edge, so
+        # the tadpole on C_2 with one pendant edge is the path on 3 vertices;
+        # oracle builds a simple graph and refuses c = 2
+        code, out, _ = run(capsys, "expand", "--family", "tadpole", "--c", "2", "--l", "1")
+        assert code == 0
+        assert (code, out) == run(capsys, "expand", "--family", "path", "--n", "3")[:2]
+        assert run(capsys, "oracle", "--family", "tadpole", "--c", "2", "--l", "1")[0] == 2
+
     def test_kchain_parts_flag(self, capsys):
         code, out, _ = run(capsys, "expand", "--family", "kchain",
                            "--parts", "3,3")

@@ -21,13 +21,17 @@ from chromsym.graphs import (
     graph_from_edges,
     infinity,
     kayak,
+    kpc,
     kpk,
+    kpkp,
     lollipop,
     melting_lollipop,
     path,
     rooted_complete,
     rooted_cycle,
     rooted_path,
+    tadpole,
+    tw_cycle,
     tw_path,
 )
 from chromsym.oracle import EdgeBudgetError, csf_bruteforce
@@ -187,7 +191,7 @@ class TestBruteForce:
         check_literal(6, complete(6).edges)
         check_literal(10, [(v, (v + 1) % 10) for v in range(10)] + [(0, 5), (2, 7)])
         # relabelled, so that twin classes are scattered across the labels:
-        # triangles joined by a path, whose blocks peel pendant vertices; the
+        # triangles joined by a path, whose blocks hold bridges; the
         # star K_{1,9}; K_{3,4}; K_{2,2,2}; K_6 with a pendant path of three
         # vertices; a clique class joined to an independent class; and a
         # twinned path
@@ -240,9 +244,11 @@ class TestBruteForce:
 
 
 class TestSignedCount:
-    """c(B) past pendant peeling: closed forms for a cycle and a clique, a
-    product over the pieces at a cut vertex, and the independent-set sum for
-    any other 2-connected core."""
+    """c(B) as a product over the pieces a block cuts from the biconnected
+    components: closed forms for a bridge, an arc or the whole of a cycle, a
+    clique, and a clique plus one vertex, the same split applied to a piece
+    of any other component, and the independent-set sum for a 2-connected
+    piece with no rule."""
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_cycles(self, n):
@@ -260,12 +266,49 @@ class TestSignedCount:
         # two triangles joined through a vertex of degree 2
         (7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6)]),
         (10, kayak(4, 5, 2).edges),
-        # no cut vertex, neither cycle nor clique: the independent-set sum
+        # no cut vertex, neither cycle nor clique: K_3 plus a vertex joined to 2
         (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-        # a theta graph: vertices 0 and 1 joined by paths of 2, 3 and 4 edges
+        # a theta graph, vertices 0 and 1 joined by paths of 2, 3 and 4
+        # edges: no rule, so the independent-set sum
         (8, [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4), (0, 5), (5, 6), (6, 7), (1, 7)]),
     ], ids=["bowtie", "triangles_via_degree_2", "kayak4_5_2", "k4_minus_edge", "theta"])
     def test_cut_vertices_and_two_connected_cores(self, n, edges):
+        clear_shared_memo()
+        check_literal(n, edges)
+
+    @pytest.mark.parametrize("g", [
+        # a cycle with a pendant path; a tree block takes its arcs
+        tadpole(5, 3),
+        # blocks holding the triangle meet the cycle in arcs and whole
+        kpc(3, 1, 5),
+        # K_5 less k edges at its attachment: a clique, then K_4 plus a vertex
+        # joined to 3 and to 2 of it, then K_4 with a bridge
+        *(melting_lollipop(5, 2, k) for k in range(4)),
+        # K_4 less an edge: K_3 plus a vertex joined to 2
+        tw_path(6, 3),
+        # cliques joined by paths, with pendant paths at both ends
+        kpkp(4, 2, 3, 2),
+        # a twinned cycle's core has no rule: the independent-set sum
+        tw_cycle(5),
+    ], ids=["tadpole5_3", "kpc3_1_5", "melting5_2_0", "melting5_2_1", "melting5_2_2", "melting5_2_3",
+            "tw_path6_3", "kpkp4_2_3_2", "tw_cycle5"])
+    def test_piece_rules(self, g):
+        clear_shared_memo()
+        check_literal(g.n_vertices, g.edges)
+
+    def test_every_connected_part_is_split(self):
+        # the vertex order walks the isolated vertex 4 first, so the triangle
+        # with a pendant edge is not the part of the lowest vertex
+        clear_shared_memo()
+        check_literal(5, [(0, 1), (0, 2), (0, 3), (2, 3)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 6), st.randoms(use_true_random=False))
+    def test_random_connected_graphs(self, n, extra, rng):
+        # a random tree and up to 6 more edges: at most 14, for the literal sum
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+        edges |= set(rng.sample(pairs, min(extra, len(pairs))))
         clear_shared_memo()
         check_literal(n, edges)
 
