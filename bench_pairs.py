@@ -12,6 +12,10 @@ parent commit (for example made by ``git archive``) at PARENT:
 ``run`` starts one untraced ``perfbench/run.py`` at a time, in each checkout
 in turn, the side that runs first alternating from pair to pair, and appends
 each run's last output line to the log with the ``--seconds`` it ran for.
+Both sides run with ``PYTHONDONTWRITEBYTECODE=1`` and no bytecode cache, so
+that every ``chromsym`` call compiles ``src/chromsym`` afresh, as a fresh
+checkout does: ``run`` refuses to start, with exit status 2, while either
+checkout holds ``src/chromsym/__pycache__``, and names that checkout.
 ``summary`` prints, per workload, seed and end-to-end metric, each side's
 median and quartiles and the number of pairs the change won.  ``record``
 writes the first pair of every workload and seed in the format of the
@@ -36,9 +40,7 @@ METRICS = ("setup_s", "wall_s", "instance_p50_s", "peak_rss_mb")  # all lower is
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    # with bytecode writing on, each tree compiles its caches once, and a stale
-    # __pycache__ in one of them is not recompiled in every run
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                          check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -46,6 +48,12 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
 
 def cmd_run(args) -> None:
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    for side, root in roots.items():
+        cache = os.path.join(root, "src", "chromsym", "__pycache__")
+        if os.path.exists(cache):
+            print(f"bench_pairs: the {side} checkout {root} holds {cache}; remove it, so that "
+                  "every call compiles the source as in a fresh checkout", file=sys.stderr)
+            sys.exit(2)
     with open(args.log, "a") as log:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

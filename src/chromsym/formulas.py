@@ -5,11 +5,13 @@ multiplied back in) as an exact :class:`~chromsym.symfunc.ESymFunc`.  The
 expansions are sums over integer compositions, weighted by the statistics of
 :mod:`chromsym.compositions`.  They are evaluated by the prefix-sum DP
 :func:`composition_sum`, whose work grows with the number of partitions of
-n, not with the 2^(n-1) compositions, and which carries partitions only
-through the states that can still finish; like the oracle, it keys
-partitions as packed ints (:func:`~chromsym.symfunc.pack`).  Each evaluator
-supplies a step that weighs one part p starting at offset s, and every
-statistic is settled at a single step:
+n, not with the 2^(n-1) compositions; like the oracle, it keys partitions as
+packed ints (:func:`~chromsym.symfunc.pack`).  It takes one of two paths by
+the order n: up to order 12 it carries partitions in one forward pass, and
+from order 13 it first prunes the states that cannot finish, which pays
+only once partitions are many (its docstring has the measured crossover).
+Each evaluator supplies a step that weighs one part p starting at offset s,
+and every statistic is settled at a single step:
 
 * w takes p from the first part (s == 0) and p - 1 from every later part;
 * the part straddling a position x is the one with s < x <= s + p, so
@@ -59,13 +61,15 @@ from .compositions import Composition, ParameterError, gap, rho, theta, theta_mi
 from .symfunc import DIGIT, DIGIT_MASK, ESymFunc, OrderLimitError, pack, unpack
 
 Acc = dict[int, int]
+Step = Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]]
 
 # An expansion whose kernel layers hold more terms than this after an offset is refused.
 MAX_TERMS = 2**20
+# composition_sum carries partitions in one pass up to this order, and prunes dead states above it.
+ONE_PASS_MAX_N = 12
 
 
-def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]],
-                    start: Hashable) -> Acc:
+def composition_sum(n: int, step: Step, start: Hashable) -> Acc:
     """Sum over the compositions of n of a product of per-part factors, by partition.
 
     A composition is read part by part, carrying a small state that starts at
@@ -77,25 +81,86 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
     its parts.  Steps ending at n must return only states whose composition
     is complete.
 
-    Two passes.  The first calls step once per reachable (offset, state,
-    part) and records its nonzero moves, then walks back from n and keeps
-    only the moves into states that can still reach n: a condition on the
-    last parts, such as K[-1] >= a, leaves many states dead.  The second
-    carries partitions along the kept moves only.  Compositions with the
-    same prefix sum, state and partition are merged, so the work grows with
-    the number of partitions of n times the number of live states, not with
-    the 2^(n-1) compositions; moves that end at n are summed straight into
-    the result.  Partitions are packed keys (:func:`~chromsym.symfunc.pack`),
-    so adding a part adds its key.  The result maps packed keys to their
-    totals, without zero entries.  Raises
-    OrderLimitError past 255 equal parts, past MAX_TERMS recorded moves
-    (checked after every step call, so one state cannot record without
-    bound), or past MAX_TERMS terms held after an offset.
+    Compositions with the same prefix sum, state and partition are merged, so
+    the work grows with the number of partitions of n times the number of
+    states, not with the 2^(n-1) compositions; moves that end at n are summed
+    straight into the result.  Partitions are packed keys
+    (:func:`~chromsym.symfunc.pack`), so adding a part adds its key.  The
+    result maps packed keys to their totals, without zero entries.
+
+    Up to order ONE_PASS_MAX_N the partitions are carried in one forward pass
+    (:func:`_one_pass`); above it, the moves are recorded and pruned to the
+    states that can still reach n before anything is carried
+    (:func:`_two_pass`).  Pruning pays only once partitions are many.  Over
+    the kernel calls of six tuples of every family per graph order, one pass
+    took this share of the time of two (best of 9, warm, Python 3.11 on a
+    shared 2 vCPU host); order 13 is about even, so the switch keeps a margin:
+
+        order     8     10    12    13    14    15    16    18    20
+        share     0.80  0.88  0.96  0.98  1.03  1.09  1.16  1.29  1.38
+
+    Both paths offer step the same (state, s, p) triples, in the same order,
+    and give the same result.  Both raise OrderLimitError past 255 equal
+    parts, past MAX_TERMS moves (checked after every step call, so one state
+    cannot make moves without bound), or past MAX_TERMS terms held after an
+    offset.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return {0: 1}  # the empty composition, with no step to weigh
+    return (_one_pass if n <= ONE_PASS_MAX_N else _two_pass)(n, step, start)
+
+
+def _check_digit(n: int, p: int, shift: int, poly: Acc) -> None:
+    """Refuse adding a part p to a partition in poly that holds 255 parts p already."""
+    if any(key // shift & DIGIT_MASK == DIGIT_MASK for key in poly):
+        raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
+                              "a partition, past the digit of packed keys")
+
+
+def _one_pass(n: int, step: Step, start: Hashable) -> Acc:
+    """composition_sum carrying partitions as step is called, dead states included."""
+    # layers[s]: state -> {packed partition of s: coefficient}, for s < n
+    layers: list[dict] = [{} for _ in range(n)]
+    layers[0][start] = {0: 1}
+    total: Acc = {}
+    held = 1  # terms in the layers not yet read, and in total
+    made = 0
+    for s in range(n):
+        for state, poly in layers[s].items():
+            held -= len(poly)
+            for p in range(1, n - s + 1):
+                shift = 1 << DIGIT * (p - 1)  # pack((p,))
+                for new_state, coeff in step(state, s, p):
+                    if coeff:
+                        made += 1
+                        if s >= DIGIT_MASK * p:  # a partition of s holds at most s // p parts p
+                            _check_digit(n, p, shift, poly)
+                        out = total if s + p == n else layers[s + p].setdefault(new_state, {})
+                        held -= len(out)
+                        for key, c in poly.items():
+                            key += shift
+                            out[key] = out.get(key, 0) + coeff * c
+                        held += len(out)
+                if made > MAX_TERMS:
+                    raise OrderLimitError(f"order {n} makes more than {MAX_TERMS} kernel moves "
+                                          f"by offset {s}")
+        layers[s] = {}
+        if held > MAX_TERMS:
+            raise OrderLimitError(f"order {n} holds more than {MAX_TERMS} terms after offset {s}")
+    return {key: c for key, c in total.items() if c}
+
+
+def _two_pass(n: int, step: Step, start: Hashable) -> Acc:
+    """composition_sum recording every move, then carrying partitions through live states only.
+
+    The first pass calls step once per reachable (offset, state, part) and
+    records its nonzero moves, then walks back from n and keeps only the
+    moves into states that can still reach n: a condition on the last parts,
+    such as K[-1] >= a, leaves many states dead.  The second pass carries
+    partitions along the kept moves only.
+    """
     # moves[s]: state -> [(p, new_state, coeff), ...] for every state reached at s
     moves: list[dict] = [{} for _ in range(n + 1)]
     moves[0][start] = []
@@ -132,11 +197,8 @@ def composition_sum(n: int, step: Callable[[Hashable, int, int], Iterable[tuple[
             held -= len(poly)
             for p, new_state, coeff in moves[s][state]:
                 shift = 1 << DIGIT * (p - 1)  # pack((p,))
-                # a partition of s holds at most s // p parts p
-                if s >= DIGIT_MASK * p and any(key // shift & DIGIT_MASK == DIGIT_MASK
-                                               for key in poly):
-                    raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
-                                          "a partition, past the digit of packed keys")
+                if s >= DIGIT_MASK * p:  # a partition of s holds at most s // p parts p
+                    _check_digit(n, p, shift, poly)
                 out = total if s + p == n else layers[s + p].setdefault(new_state, {})
                 held -= len(out)
                 for key, c in poly.items():

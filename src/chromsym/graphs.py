@@ -13,6 +13,15 @@ A one-vertex piece adds no vertex, so lollipops, KKP and PKP chains, the
 b = 3 chains, tadpoles and infinity graphs check their own parameters and
 are then built, with the same labels, as the KPK, KPKP, KPC and kayak chains
 they are special cases of (a lollipop is kpk(a, 1, l)).
+
+Each family graph is checked once.  A :class:`Graph` checks its vertex count
+and pairs when it is made, but the pieces the families glue are private and
+trusted: their pairs are sorted and in range by construction, so they skip
+both the normalizing of :func:`graph_from_edges` and the checks, and only the
+graph :func:`chain` glues from them is checked.  The twin of a checked graph
+adds only sorted pairs with the new vertex, so it is not checked again.
+:func:`path`, :func:`cycle`, :func:`complete` and the ``rooted_*`` pieces
+return checked graphs.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if not isinstance(self.edges, frozenset):
+            raise ValueError(f"edges must be a frozenset, got {type(self.edges).__name__}")
         if self.n_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         for u, v in self.edges:
@@ -62,6 +73,26 @@ Piece = tuple[Graph, int, int]
 """A graph with a left and a right root, glued on by :func:`chain`; the roots may coincide."""
 
 
+def _trusted(n_vertices: int, edges: frozenset[tuple[int, int]]) -> Graph:
+    """A Graph of pairs sorted and in range by construction, made without the checks."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n_vertices", n_vertices)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
+def _path_pairs(n: int) -> frozenset[tuple[int, int]]:
+    return frozenset((i, i + 1) for i in range(n - 1))
+
+
+def _cycle_pairs(n: int) -> frozenset[tuple[int, int]]:
+    return _path_pairs(n) | {(0, n - 1)}
+
+
+def _complete_pairs(n: int) -> frozenset[tuple[int, int]]:
+    return frozenset((i, j) for j in range(n) for i in range(j))
+
+
 # ----------------------------------------------------------------------
 # elementary graphs, pieces and gluing
 # ----------------------------------------------------------------------
@@ -70,21 +101,21 @@ def path(n: int) -> Graph:
     """The path P_n on n vertices (n - 1 edges)."""
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
-    return graph_from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, _path_pairs(n))
 
 
 def cycle(n: int) -> Graph:
     """The cycle C_n; n >= 3 so the graph stays simple."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3 for a simple graph, got {n}")
-    return graph_from_edges(n, ((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, _cycle_pairs(n))
 
 
 def complete(n: int) -> Graph:
     """The complete graph K_n."""
     if n < 1:
         raise ValueError(f"complete needs n >= 1, got {n}")
-    return graph_from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph(n, _complete_pairs(n))
 
 
 def rooted_path(n: int) -> Piece:
@@ -102,19 +133,35 @@ def rooted_cycle(n: int) -> Piece:
     return cycle(n), 0, 0
 
 
+# the trusted pieces of the families, checked only as part of the graph chain glues
+
+def _path_piece(n: int) -> Piece:
+    return _trusted(n, _path_pairs(n)), 0, n - 1
+
+
+def _complete_piece(n: int) -> Piece:
+    return _trusted(n, _complete_pairs(n)), 0, n - 1
+
+
+def _cycle_piece(n: int) -> Piece:
+    return _trusted(n, _cycle_pairs(n)), 0, 0
+
+
 def chain(*pieces: Piece) -> Graph:
     """Glue pieces left to right, identifying each right root with the next left root.
 
-    The result has order sum(|G_i|) - (number of pieces - 1).
+    The result has order sum(|G_i|) - (number of pieces - 1), and is checked.
     """
     if not pieces:
         raise ValueError("chain needs at least one piece")
     first, _, joint = pieces[0]
     n, edges = first.n_vertices, set(first.edges)
     for g, u, v in pieces[1:]:
+        # labels rise with x, except that u takes the joint, below them all,
+        # so a sorted pair stays sorted unless it ends at u
         label = [n + x - (x > u) for x in range(g.n_vertices)]
         label[u] = joint
-        edges.update((min(label[a], label[b]), max(label[a], label[b])) for a, b in g.edges)
+        edges.update((label[a], label[b]) if b != u else (joint, label[a]) for a, b in g.edges)
         n += g.n_vertices - 1
         joint = label[v]
     return Graph(n, frozenset(edges))
@@ -144,7 +191,7 @@ def k_chain(parts: Composition) -> Graph:
         raise ParameterError("k_chain needs at least one part")
     if any(p < 2 for p in parts):
         raise ParameterError(f"k_chain parts must all be >= 2, got {parts}")
-    return chain(*(rooted_complete(p) for p in parts))
+    return chain(*(_complete_piece(p) for p in parts))
 
 
 def lollipop(a: int, l: int) -> Graph:
@@ -157,23 +204,26 @@ def lollipop(a: int, l: int) -> Graph:
 
 
 def melting_lollipop(a: int, l: int, k: int) -> Graph:
-    """Lollipop with k clique edges at the center removed (lowest-index neighbors first)."""
+    """Lollipop with k clique edges at the center removed (lowest-index neighbors first).
+
+    The center is the clique's right root a - 1, so this is kpk(a, 1, l) glued
+    from a clique piece that lacks those edges.
+    """
     if a < 2:
         raise ParameterError(f"melting lollipop needs a >= 2, got {a}")
     if l < 0:
         raise ParameterError(f"melting lollipop needs l >= 0, got {l}")
     if not 0 <= k <= a - 1:
         raise ParameterError(f"melting lollipop needs 0 <= k <= a-1, got k={k}")
-    base = kpk(a, 1, l)
-    removed = {(j, a - 1) for j in range(k)}
-    return Graph(base.n_vertices, base.edges - removed)
+    melted = _complete_pairs(a) - {(j, a - 1) for j in range(k)}
+    return chain((_trusted(a, melted), 0, a - 1), _path_piece(l + 1), _complete_piece(1))
 
 
 def kpk(a: int, b: int, l: int) -> Graph:
     """Clique - path - clique chain K_a + P_{l+1} + K_b."""
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    return chain(rooted_complete(a), rooted_path(l + 1), rooted_complete(b))
+    return chain(_complete_piece(a), _path_piece(l + 1), _complete_piece(b))
 
 
 def kpk_b3(a: int, l: int) -> Graph:
@@ -202,8 +252,7 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ParameterError(
             f"kpkp needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
-    return chain(rooted_complete(a), rooted_path(g + 1),
-                 rooted_complete(b), rooted_path(h + 1))
+    return chain(_complete_piece(a), _path_piece(g + 1), _complete_piece(b), _path_piece(h + 1))
 
 
 def kpkp_b3(a: int, g: int, h: int) -> Graph:
@@ -218,7 +267,7 @@ def kpc(a: int, l: int, c: int) -> Graph:
     if a < 1 or l < 0 or c < 3:
         raise ParameterError(
             f"kpc needs a >= 1, l >= 0, c >= 3, got {(a, l, c)}")
-    return chain(rooted_complete(a), rooted_path(l + 1), rooted_cycle(c))
+    return chain(_complete_piece(a), _path_piece(l + 1), _cycle_piece(c))
 
 
 def tadpole(c: int, l: int) -> Graph:
@@ -233,7 +282,7 @@ def kayak(a: int, b: int, l: int) -> Graph:
     if a < 3 or b < 3 or l < 0:
         raise ParameterError(
             f"kayak needs a, b >= 3 and l >= 0, got {(a, b, l)}")
-    return chain(rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b))
+    return chain(_cycle_piece(a), _path_piece(l + 1), _cycle_piece(b))
 
 
 def infinity(a: int, b: int) -> Graph:
@@ -248,12 +297,16 @@ def infinity(a: int, b: int) -> Graph:
 # ----------------------------------------------------------------------
 
 def twin(g: Graph, v: int) -> Graph:
-    """Add a vertex adjacent to v and to every neighbor of v."""
+    """Add a vertex adjacent to v and to every neighbor of v.
+
+    g was checked when it was made, and the pairs with the new vertex are
+    sorted and in range, so the twin is not checked again.
+    """
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"vertex {v} out of range")
     new = g.n_vertices
     nbrs = g.neighbors(v)
-    out = Graph(new + 1, g.edges | {(v, new)} | {(u, new) for u in nbrs})
+    out = _trusted(new + 1, g.edges | {(v, new)} | {(u, new) for u in nbrs})
     if out.edge_count != g.edge_count + len(nbrs) + 1:
         raise AssertionError(
             f"twin of vertex {v} has {out.edge_count} edges, expected "

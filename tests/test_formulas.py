@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_formulas
+from chromsym import formulas
 from chromsym.compositions import iter_compositions, rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
@@ -169,6 +170,61 @@ class TestKernel:
         # carry a partition, and refuses it past MAX_TERMS of them
         with pytest.raises(OrderLimitError, match=f"more than {MAX_TERMS} kernel moves"):
             x_lollipop(2000, 1)
+
+
+KERNEL_PATHS = {"one pass": formulas._one_pass, "two passes": formulas._two_pass}
+
+
+def sweep_through(path, monkeypatch) -> list:
+    """(result, step calls) of every kernel call over every family's grid(14), all through path.
+
+    The step calls are kept as their count and the hash of their sequence.
+    """
+    seen = []
+
+    def through(n, step, start):
+        calls = []
+
+        def spy(state, s, p):
+            calls.append((state, s, p))
+            return step(state, s, p)
+        result = path(n, spy, start)
+        seen.append((result, len(calls), hash(tuple(calls))))
+        return result
+    with monkeypatch.context() as patch:
+        patch.setattr(formulas, "composition_sum", through)
+        for fam in FAMILIES.values():
+            for params in fam.grid(14):
+                fam.evaluate(**params)
+    return seen
+
+
+class TestKernelPaths:
+    def test_paths_agree_on_every_family(self, monkeypatch):
+        # one pass carries dead states too, yet both paths must offer step
+        # the same (state, s, p) triples, in the same order, and sum alike
+        one, two = (sweep_through(path, monkeypatch) for path in KERNEL_PATHS.values())
+        assert len(one) == len(two) > 7000
+        for got, want in zip(one, two):
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_PATHS))
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_tables())
+    def test_each_path_matches_literal_sum(self, name, case):
+        n, table = case
+        if n:  # composition_sum answers n = 0 itself
+            got = KERNEL_PATHS[name](n, lambda state, s, p: table.get((state, s, p), ()), 0)
+            assert got == literal_sum(n, table)
+
+    @pytest.mark.parametrize("n, used", [(1, "one pass"), (12, "one pass"),
+                                         (13, "two passes"), (20, "two passes")])
+    def test_order_picks_the_path(self, n, used, monkeypatch):
+        called = []
+        for name, attr in (("one pass", "_one_pass"), ("two passes", "_two_pass")):
+            monkeypatch.setattr(formulas, attr,
+                                lambda m, step, start, name=name: called.append(name) or {m: 1})
+        assert composition_sum(n, None, None) == {n: 1} and called == [used]
 
 
 class TestKChains:

@@ -62,6 +62,28 @@ class TestElementary:
         with pytest.raises(ValueError):
             Graph(2, frozenset({(1, 0)}))  # unsorted pair
 
+    def test_edges_must_be_a_frozenset(self):
+        # a list would count a repeated pair twice, and neither a list nor a
+        # set can be hashed, as the oracle's cache hashes graphs
+        with pytest.raises(ValueError, match="edges must be a frozenset, got list"):
+            Graph(3, [(0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="edges must be a frozenset, got set"):
+            Graph(3, {(0, 1)})
+
+    def test_every_public_graph_is_checked(self):
+        # the families glue unchecked private pieces; what they return must
+        # be a graph that passes every check of Graph
+        def checked(g):
+            return type(g.edges) is frozenset and g == Graph(g.n_vertices, frozenset(g.edges))
+        for fam in FAMILIES.values():
+            for params in fam.grid(10):
+                assert checked(fam.build_graph(**params)), (fam.tag, params)
+        for n in range(1, 10):
+            graphs = [path(n), complete(n), rooted_path(n)[0], rooted_complete(n)[0]]
+            if n >= 3:
+                graphs += [cycle(n), rooted_cycle(n)[0]]
+            assert all(checked(g) for g in graphs), n
+
 
 class TestChains:
     def test_chain_of_edges_is_path(self):
