@@ -100,10 +100,10 @@ def composition_sum(n: int, step: Step, start: Hashable) -> Acc:
         share     0.80  0.88  0.96  0.98  1.03  1.09  1.16  1.29  1.38
 
     Both paths offer step the same (state, s, p) triples, in the same order,
-    and give the same result.  Both raise OrderLimitError past 255 equal
-    parts, past MAX_TERMS moves (checked after every step call, so one state
-    cannot make moves without bound), or past MAX_TERMS terms held after an
-    offset.
+    and give the same result.  Both raise OrderLimitError past MAX_TERMS moves
+    (checked after every step call, so one state cannot make moves without
+    bound) or past MAX_TERMS terms held after an offset, and past 255 equal
+    parts, which only orders above ONE_PASS_MAX_N can reach.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -112,15 +112,9 @@ def composition_sum(n: int, step: Step, start: Hashable) -> Acc:
     return (_one_pass if n <= ONE_PASS_MAX_N else _two_pass)(n, step, start)
 
 
-def _check_digit(n: int, p: int, shift: int, poly: Acc) -> None:
-    """Refuse adding a part p to a partition in poly that holds 255 parts p already."""
-    if any(key // shift & DIGIT_MASK == DIGIT_MASK for key in poly):
-        raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
-                              "a partition, past the digit of packed keys")
-
-
 def _one_pass(n: int, step: Step, start: Hashable) -> Acc:
     """composition_sum carrying partitions as step is called, dead states included."""
+    # no digit check: a partition of n <= ONE_PASS_MAX_N cannot hold 255 equal parts
     # layers[s]: state -> {packed partition of s: coefficient}, for s < n
     layers: list[dict] = [{} for _ in range(n)]
     layers[0][start] = {0: 1}
@@ -135,8 +129,6 @@ def _one_pass(n: int, step: Step, start: Hashable) -> Acc:
                 for new_state, coeff in step(state, s, p):
                     if coeff:
                         made += 1
-                        if s >= DIGIT_MASK * p:  # a partition of s holds at most s // p parts p
-                            _check_digit(n, p, shift, poly)
                         out = total if s + p == n else layers[s + p].setdefault(new_state, {})
                         held -= len(out)
                         for key, c in poly.items():
@@ -197,8 +189,11 @@ def _two_pass(n: int, step: Step, start: Hashable) -> Acc:
             held -= len(poly)
             for p, new_state, coeff in moves[s][state]:
                 shift = 1 << DIGIT * (p - 1)  # pack((p,))
-                if s >= DIGIT_MASK * p:  # a partition of s holds at most s // p parts p
-                    _check_digit(n, p, shift, poly)
+                # a partition of s holds at most s // p parts p
+                if s >= DIGIT_MASK * p and any(key // shift & DIGIT_MASK == DIGIT_MASK
+                                               for key in poly):
+                    raise OrderLimitError(f"order {n} puts more than {DIGIT_MASK} parts {p} in "
+                                          "a partition, past the digit of packed keys")
                 out = total if s + p == n else layers[s + p].setdefault(new_state, {})
                 held -= len(out)
                 for key, c in poly.items():

@@ -15,13 +15,12 @@ are then built, with the same labels, as the KPK, KPKP, KPC and kayak chains
 they are special cases of (a lollipop is kpk(a, 1, l)).
 
 Each family graph is checked once.  A :class:`Graph` checks its vertex count
-and pairs when it is made, but the pieces the families glue are private and
+and pairs when it is made, but the ``rooted_*`` pieces the families glue are
 trusted: their pairs are sorted and in range by construction, so they skip
 both the normalizing of :func:`graph_from_edges` and the checks, and only the
 graph :func:`chain` glues from them is checked.  The twin of a checked graph
 adds only sorted pairs with the new vertex, so it is not checked again.
-:func:`path`, :func:`cycle`, :func:`complete` and the ``rooted_*`` pieces
-return checked graphs.
+:func:`path`, :func:`cycle` and :func:`complete` return checked graphs.
 """
 
 from __future__ import annotations
@@ -120,30 +119,22 @@ def complete(n: int) -> Graph:
 
 def rooted_path(n: int) -> Piece:
     """P_n with its endpoints as roots."""
-    return path(n), 0, n - 1
+    if n < 1:
+        raise ParameterError(f"path needs n >= 1, got {n}")
+    return _trusted(n, _path_pairs(n)), 0, n - 1
 
 
 def rooted_complete(n: int) -> Piece:
     """K_n rooted at 0 and n-1."""
-    return complete(n), 0, n - 1
+    if n < 1:
+        raise ValueError(f"complete needs n >= 1, got {n}")
+    return _trusted(n, _complete_pairs(n)), 0, n - 1
 
 
 def rooted_cycle(n: int) -> Piece:
     """C_n with both roots at vertex 0."""
-    return cycle(n), 0, 0
-
-
-# the trusted pieces of the families, checked only as part of the graph chain glues
-
-def _path_piece(n: int) -> Piece:
-    return _trusted(n, _path_pairs(n)), 0, n - 1
-
-
-def _complete_piece(n: int) -> Piece:
-    return _trusted(n, _complete_pairs(n)), 0, n - 1
-
-
-def _cycle_piece(n: int) -> Piece:
+    if n < 3:
+        raise ParameterError(f"cycle needs n >= 3 for a simple graph, got {n}")
     return _trusted(n, _cycle_pairs(n)), 0, 0
 
 
@@ -191,7 +182,7 @@ def k_chain(parts: Composition) -> Graph:
         raise ParameterError("k_chain needs at least one part")
     if any(p < 2 for p in parts):
         raise ParameterError(f"k_chain parts must all be >= 2, got {parts}")
-    return chain(*(_complete_piece(p) for p in parts))
+    return chain(*(rooted_complete(p) for p in parts))
 
 
 def lollipop(a: int, l: int) -> Graph:
@@ -216,14 +207,14 @@ def melting_lollipop(a: int, l: int, k: int) -> Graph:
     if not 0 <= k <= a - 1:
         raise ParameterError(f"melting lollipop needs 0 <= k <= a-1, got k={k}")
     melted = _complete_pairs(a) - {(j, a - 1) for j in range(k)}
-    return chain((_trusted(a, melted), 0, a - 1), _path_piece(l + 1), _complete_piece(1))
+    return chain((_trusted(a, melted), 0, a - 1), rooted_path(l + 1), rooted_complete(1))
 
 
 def kpk(a: int, b: int, l: int) -> Graph:
     """Clique - path - clique chain K_a + P_{l+1} + K_b."""
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    return chain(_complete_piece(a), _path_piece(l + 1), _complete_piece(b))
+    return chain(rooted_complete(a), rooted_path(l + 1), rooted_complete(b))
 
 
 def kpk_b3(a: int, l: int) -> Graph:
@@ -252,7 +243,8 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ParameterError(
             f"kpkp needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
-    return chain(_complete_piece(a), _path_piece(g + 1), _complete_piece(b), _path_piece(h + 1))
+    return chain(rooted_complete(a), rooted_path(g + 1),
+                 rooted_complete(b), rooted_path(h + 1))
 
 
 def kpkp_b3(a: int, g: int, h: int) -> Graph:
@@ -267,7 +259,7 @@ def kpc(a: int, l: int, c: int) -> Graph:
     if a < 1 or l < 0 or c < 3:
         raise ParameterError(
             f"kpc needs a >= 1, l >= 0, c >= 3, got {(a, l, c)}")
-    return chain(_complete_piece(a), _path_piece(l + 1), _cycle_piece(c))
+    return chain(rooted_complete(a), rooted_path(l + 1), rooted_cycle(c))
 
 
 def tadpole(c: int, l: int) -> Graph:
@@ -282,7 +274,7 @@ def kayak(a: int, b: int, l: int) -> Graph:
     if a < 3 or b < 3 or l < 0:
         raise ParameterError(
             f"kayak needs a, b >= 3 and l >= 0, got {(a, b, l)}")
-    return chain(_cycle_piece(a), _path_piece(l + 1), _cycle_piece(b))
+    return chain(rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b))
 
 
 def infinity(a: int, b: int) -> Graph:

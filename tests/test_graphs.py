@@ -71,8 +71,8 @@ class TestElementary:
             Graph(3, {(0, 1)})
 
     def test_every_public_graph_is_checked(self):
-        # the families glue unchecked private pieces; what they return must
-        # be a graph that passes every check of Graph
+        # the rooted_* pieces the families glue skip the checks; every graph
+        # a public name returns, pieces included, must pass every check of Graph
         def checked(g):
             return type(g.edges) is frozenset and g == Graph(g.n_vertices, frozenset(g.edges))
         for fam in FAMILIES.values():
@@ -83,6 +83,14 @@ class TestElementary:
             if n >= 3:
                 graphs += [cycle(n), rooted_cycle(n)[0]]
             assert all(checked(g) for g in graphs), n
+
+    def test_rooted_pieces_refuse_what_their_graphs_refuse(self):
+        for rooted, graph, n in ((rooted_path, path, 0), (rooted_complete, complete, 0),
+                                 (rooted_cycle, cycle, 2)):
+            with pytest.raises(ValueError) as want:
+                graph(n)
+            with pytest.raises(type(want.value), match=f"^{want.value}$"):
+                rooted(n)
 
 
 class TestChains:
