@@ -126,7 +126,9 @@ def run_verification(tag: str, max_n: int,
                      edge_budget: int = DEFAULT_EDGE_BUDGET) -> Iterator[VerifyRecord]:
     """Differential check of a family's evaluator against the brute-force oracle.
 
-    Instances whose graphs exceed the edge budget are reported as skips.
+    Instances whose graphs exceed the edge budget are reported as skips.  A
+    special case met before as its general form reuses that form's expansion
+    and graph (see :mod:`~chromsym.formulas`), and the oracle's result.
     """
     fam = get_family(tag)
     for params in fam.grid(max_n):

@@ -21,11 +21,17 @@ both the normalizing of :func:`graph_from_edges` and the checks, and only the
 graph :func:`chain` glues from them is checked.  The twin of a checked graph
 adds only sorted pairs with the new vertex, so it is not checked again.
 :func:`path`, :func:`cycle` and :func:`complete` return checked graphs.
+
+The four general chains keep the graphs they glue, keyed like the general
+expansions of :mod:`chromsym.formulas`: of the 1349 graphs of a verify sweep
+at n <= 9, 474 are hits, which skip the gluing.  The memo is cleared once it
+holds more than _MEMO_EDGES edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .compositions import Composition, ParameterError
 
@@ -66,6 +72,26 @@ def graph_from_edges(n_vertices: int, edges) -> Graph:
     """Build a Graph, normalizing each pair to (min, max) and deduplicating."""
     norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
     return Graph(n_vertices, norm)
+
+
+# A verify sweep stores 6549 edges at max-n 9, about 120 bytes each, and 42761
+# at max-n 13, where holding 2**14 keeps 379 of its 1468 hits.
+_MEMO_EDGES = 1 << 14
+_memo: dict[tuple, Graph] = {}
+_memo_edges = 0
+
+
+def _remembered(key: tuple, make: Callable[[], Graph]) -> Graph:
+    """The graph stored under key, else make()'s, stored unless make raises."""
+    global _memo_edges
+    if key in _memo:
+        return _memo[key]
+    out = _memo[key] = make()
+    _memo_edges += out.edge_count
+    if _memo_edges > _MEMO_EDGES:
+        _memo.clear()
+        _memo_edges = 0
+    return out
 
 
 Piece = tuple[Graph, int, int]
@@ -214,7 +240,8 @@ def kpk(a: int, b: int, l: int) -> Graph:
     """Clique - path - clique chain K_a + P_{l+1} + K_b."""
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    return chain(rooted_complete(a), rooted_path(l + 1), rooted_complete(b))
+    return _remembered(("kpk", a, b, l), lambda: chain(
+        rooted_complete(a), rooted_path(l + 1), rooted_complete(b)))
 
 
 def kpk_b3(a: int, l: int) -> Graph:
@@ -243,8 +270,8 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ParameterError(
             f"kpkp needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
-    return chain(rooted_complete(a), rooted_path(g + 1),
-                 rooted_complete(b), rooted_path(h + 1))
+    return _remembered(("kpkp", a, g, b, h), lambda: chain(
+        rooted_complete(a), rooted_path(g + 1), rooted_complete(b), rooted_path(h + 1)))
 
 
 def kpkp_b3(a: int, g: int, h: int) -> Graph:
@@ -259,7 +286,8 @@ def kpc(a: int, l: int, c: int) -> Graph:
     if a < 1 or l < 0 or c < 3:
         raise ParameterError(
             f"kpc needs a >= 1, l >= 0, c >= 3, got {(a, l, c)}")
-    return chain(rooted_complete(a), rooted_path(l + 1), rooted_cycle(c))
+    return _remembered(("kpc", a, l, c), lambda: chain(
+        rooted_complete(a), rooted_path(l + 1), rooted_cycle(c)))
 
 
 def tadpole(c: int, l: int) -> Graph:
@@ -274,7 +302,8 @@ def kayak(a: int, b: int, l: int) -> Graph:
     if a < 3 or b < 3 or l < 0:
         raise ParameterError(
             f"kayak needs a, b >= 3 and l >= 0, got {(a, b, l)}")
-    return chain(rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b))
+    return _remembered(("kayak", a, b, l), lambda: chain(
+        rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b)))
 
 
 def infinity(a: int, b: int) -> Graph:

@@ -6,7 +6,9 @@ is multiset union of parts, since e_lambda * e_mu = e_{lambda mu}.
 
 Coefficients are kept as the exact numbers given: ``int`` for everything the
 package computes, or :class:`fractions.Fraction` where a caller passes one.
-Anything else, such as a float, raises :class:`TypeError`.
+Anything that is not a :class:`numbers.Rational`, such as a float or a
+Decimal, raises :class:`TypeError`.  The check needs no ``fractions``, which
+would load ``decimal`` too, so only :meth:`ESymFunc.from_records` imports it.
 
 Values are immutable once constructed (``terms`` is a read-only mapping, so
 cached values cannot be altered); operations return new values.  The
@@ -23,14 +25,14 @@ its cached single-degree case, unpacked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
+from numbers import Rational
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Partition, rho
 
-Scalar = int | Fraction
+Scalar = Rational  # int, bool, Fraction and any other exact rational
 
 
 class ESymFunc:
@@ -219,6 +221,7 @@ class ESymFunc:
 
     @staticmethod
     def from_records(records: Iterable[Mapping]) -> "ESymFunc":
+        from fractions import Fraction  # imported here, so that importing chromsym does not load it
         terms: dict[tuple[int, ...], Scalar] = {}
         for rec in records:
             key = tuple(int(p) for p in rec["partition"])

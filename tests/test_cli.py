@@ -99,9 +99,10 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--family", "path", "--n", "0")
         assert code == 2 and "error" in err
 
-    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch):
+    def test_internal_value_error_is_not_usage_error(self, capsys, monkeypatch, fresh_memos):
         # kkp is evaluated by the KPKP composition sum: a ValueError raised
-        # there is a fault, while a parameter out of range stays a usage error
+        # there is a fault, while a parameter out of range stays a usage error;
+        # the memos start empty, as a stored kpkp(2, 0, 3, 1) skips the sum
         from chromsym import formulas
 
         def broken(*args):
@@ -237,8 +238,9 @@ class TestOracleCmd:
         assert code == 4
         assert err.startswith("internal error: ValueError: ")
 
-    def test_internal_graph_error_is_not_usage_error(self, capsys, monkeypatch):
-        # a ValueError from gluing the pieces is a fault, not a bad parameter
+    def test_internal_graph_error_is_not_usage_error(self, capsys, monkeypatch, fresh_memos):
+        # a ValueError from gluing the pieces is a fault, not a bad parameter;
+        # the memos start empty, as a stored kpkp(2, 0, 3, 1) skips the gluing
         from chromsym import graphs
 
         def broken(*pieces):
@@ -452,6 +454,15 @@ class TestParser:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.splitlines()[-1] == "[]"
+
+    def test_import_loads_no_fractions(self):
+        # exactness is checked against numbers.Rational, and fractions loads decimal too
+        code = ("import sys, chromsym.cli\n"
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(chromsym.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out == "[]\n"
 
     def test_import_and_structured_output_load_no_json(self):
         code = ("import sys, chromsym.cli\n"

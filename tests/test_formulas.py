@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import reference_formulas
 from chromsym import formulas
+from chromsym.cli import main
 from chromsym.compositions import iter_compositions, rho
 from chromsym.families import FAMILIES
 from chromsym.formulas import (
@@ -58,6 +59,7 @@ from chromsym.graphs import (
 )
 from chromsym.oracle import csf_bruteforce
 from chromsym.symfunc import OrderLimitError, e_term, pack
+from conftest import GENERAL_FORM_FAMILIES, count_hits
 from reference_formulas import f123_check
 from reference_oracle import x_tw_lollipop_rec, x_tw_path_rec
 
@@ -179,6 +181,9 @@ def sweep_through(path, monkeypatch) -> list:
     """(result, step calls) of every kernel call over every family's grid(14), all through path.
 
     The step calls are kept as their count and the hash of their sequence.
+    The memo of the general forms is emptied before every evaluation, so
+    that a special case does not reuse its general form's stored value and
+    every call reaches the kernel.
     """
     seen = []
 
@@ -193,8 +198,11 @@ def sweep_through(path, monkeypatch) -> list:
         return result
     with monkeypatch.context() as patch:
         patch.setattr(formulas, "composition_sum", through)
+        patch.setattr(formulas, "_memo", {})
+        patch.setattr(formulas, "_memo_terms", 0)
         for fam in FAMILIES.values():
             for params in fam.grid(14):
+                formulas._memo.clear()
                 fam.evaluate(**params)
     return seen
 
@@ -225,6 +233,72 @@ class TestKernelPaths:
             monkeypatch.setattr(formulas, attr,
                                 lambda m, step, start, name=name: called.append(name) or {m: 1})
         assert composition_sum(n, None, None) == {n: 1} and called == [used]
+
+
+def fresh(fam, params):
+    """fam's value at params computed anew, with the memo of the general forms empty."""
+    formulas._memo.clear()
+    formulas._memo_terms = 0
+    return fam.evaluate(**params)
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestMemo:
+    def test_stored_values_equal_fresh_ones(self):
+        # the second sweep is all hits, many on entries another family stored
+        tuples = [(FAMILIES[tag], params) for tag in GENERAL_FORM_FAMILIES
+                  for params in FAMILIES[tag].grid(9)]
+        for fam, params in tuples:
+            fam.evaluate(**params)
+        stored = [fam.evaluate(**params) for fam, params in tuples]
+        assert formulas._memo_terms == sum(len(f.terms) for f in formulas._memo.values()) > 0
+        for (fam, params), got in zip(tuples, stored):
+            want = fresh(fam, params)
+            assert got == want and got.to_json() == want.to_json(), (fam.tag, params)
+
+    def test_keyword_and_positional_calls_share_an_entry(self):
+        f = x_kpkp(a=2, g=0, b=3, h=1)
+        assert x_kkp(2, 3, 1) is f and x_kpkp(2, 0, 3, 1) is f
+        assert list(formulas._memo) == [("kpkp", 2, 0, 3, 1)]
+
+    def test_forms_do_not_collide(self):
+        # K_3 + P_4 + K_3 is K_3 + P_4 + C_3, but K_3 + P_5 + K_3 is not K_3 + P_4 + C_4
+        for args in ((3, 3, 3), (3, 3, 4)):
+            got = x_kpk(*args), x_kpc(*args)
+            assert got == (csf_bruteforce(kpk(*args)), csf_bruteforce(kpc(*args)))
+        assert got[0] != got[1]
+        assert set(formulas._memo) == {(form, 3, 3, c) for form in ("kpk", "kpc") for c in (3, 4)}
+
+    def test_refused_calls_store_nothing(self, monkeypatch):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="needs a, b >= 1"):
+                x_kpk(0, 3, 8)
+        monkeypatch.setattr(formulas, "MAX_TERMS", 10)
+        for _ in range(2):
+            with pytest.raises(OrderLimitError, match="more than 10 kernel moves"):
+                x_kpk(3, 3, 8)
+        assert not formulas._memo and not formulas._memo_terms
+
+    def test_memo_clears_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_MEMO_TERMS", 100)
+        fam = FAMILIES["kpkp"]
+        sizes = []
+        for params in [*fam.grid(9), *fam.grid(9)]:
+            got = fam.evaluate(**params)
+            sizes.append(len(formulas._memo))
+            assert formulas._memo_terms <= 100
+            assert formulas._memo_terms == sum(len(f.terms) for f in formulas._memo.values())
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        for params in fam.grid(9):
+            assert x_kpkp(**params) == fresh(fam, params)
+
+    def test_verify_sweep_hits(self, capsys, monkeypatch):
+        # 1006 of the sweep's 1303 evaluations reach a general form, 406 stored
+        hits = count_hits(formulas, monkeypatch)
+        assert main(["verify", "--family", "all", "--max-n", "9"]) == 0
+        assert (len(hits), sum(hits)) == (1006, 406)
+        assert capsys.readouterr().out.endswith("1349 instances: 1303 passed, 0 failed, "
+                                                "46 skipped\n")
 
 
 class TestKChains:

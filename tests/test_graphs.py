@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chromsym import graphs
+from chromsym.cli import main
 from chromsym.families import FAMILIES
 from chromsym.graphs import (
     Graph,
@@ -37,6 +39,7 @@ from chromsym.graphs import (
     tw_path,
     twin,
 )
+from conftest import GENERAL_FORM_FAMILIES, count_hits
 
 
 class TestElementary:
@@ -160,6 +163,73 @@ class TestChains:
         assert g.n_vertices == 2 and g.edge_count == 0
         h = disjoint_union(complete(2), complete(3))
         assert h.n_vertices == 5 and h.edge_count == 4
+
+
+def fresh(fam, params) -> Graph:
+    """fam's graph at params built anew, with the memo of the general chains empty."""
+    graphs._memo.clear()
+    graphs._memo_edges = 0
+    return fam.build_graph(**params)
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestMemo:
+    def test_stored_graphs_equal_fresh_ones(self):
+        # the second pass is all hits, many on entries another family stored
+        tuples = [(FAMILIES[tag], params) for tag in GENERAL_FORM_FAMILIES
+                  for params in FAMILIES[tag].grid(9)]
+        for fam, params in tuples:
+            fam.build_graph(**params)
+        stored = [fam.build_graph(**params) for fam, params in tuples]
+        assert graphs._memo_edges == sum(g.edge_count for g in graphs._memo.values()) > 0
+        for (fam, params), got in zip(tuples, stored):
+            want = fresh(fam, params)
+            assert got == want and format_edge_list(got) == format_edge_list(want)
+            assert got == Graph(got.n_vertices, frozenset(got.edges)), (fam.tag, params)
+
+    def test_keyword_and_positional_calls_share_an_entry(self):
+        g = kpkp(a=2, g=0, b=3, h=1)
+        assert kkp(2, 3, 1) is g and kpkp(2, 0, 3, 1) is g
+        assert list(graphs._memo) == [("kpkp", 2, 0, 3, 1)]
+
+    def test_chains_do_not_collide(self):
+        # K_3 + P_4 + K_3 is K_3 + P_4 + C_3, but K_3 + P_5 + K_3 is not K_3 + P_4 + C_4
+        assert kpk(3, 3, 3) == kpc(3, 3, 3) and kpk(3, 3, 4) != kpc(3, 3, 4)
+        assert set(graphs._memo) == {(form, 3, 3, c) for form in ("kpk", "kpc") for c in (3, 4)}
+
+    def test_refused_calls_store_nothing(self, monkeypatch):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="kayak needs a, b >= 3"):
+                kayak(2, 3, 1)
+
+        def broken(*pieces):
+            raise ValueError("bad piece")
+        monkeypatch.setattr(graphs, "chain", broken)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad piece"):
+                kayak(3, 3, 1)
+        assert not graphs._memo and not graphs._memo_edges
+
+    def test_memo_clears_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MEMO_EDGES", 100)
+        fam = FAMILIES["kpkp"]
+        sizes = []
+        for params in [*fam.grid(9), *fam.grid(9)]:
+            got = fam.build_graph(**params)
+            sizes.append(len(graphs._memo))
+            assert graphs._memo_edges <= 100
+            assert graphs._memo_edges == sum(g.edge_count for g in graphs._memo.values())
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        for params in fam.grid(9):
+            assert kpkp(**params) == fresh(fam, params)
+
+    def test_verify_sweep_hits(self, capsys, monkeypatch):
+        # 1088 of the sweep's 1349 graphs are built by a general chain, 474 stored
+        hits = count_hits(graphs, monkeypatch)
+        assert main(["verify", "--family", "all", "--max-n", "9"]) == 0
+        assert (len(hits), sum(hits)) == (1088, 474)
+        assert capsys.readouterr().out.endswith("1349 instances: 1303 passed, 0 failed, "
+                                                "46 skipped\n")
 
 
 class TestTwin:

@@ -1,6 +1,7 @@
 """Exact e-basis arithmetic, power-sum conversion and serialization."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,19 @@ class TestConstruction:
             ESymFunc({(0, 2): 1})
         with pytest.raises(TypeError):
             ESymFunc({(2,): 0.5})
+
+    def test_exact_numbers_only(self):
+        # int, bool and Fraction are exact; float and Decimal are refused everywhere
+        for c in (3, True, Fraction(3, 2)):
+            assert ESymFunc({(2,): c}).coefficient((2,)) == c == (e_term((2,)) * c).coefficient((2,))
+            assert e_term((2,)).evaluate_at((c, 1)) == c
+        for c in (0.5, Decimal(1)):
+            with pytest.raises(TypeError, match="is not an exact number"):
+                ESymFunc({(2,): c})
+            with pytest.raises(TypeError):
+                e_term((2,)) * c
+            with pytest.raises(TypeError, match="are not all exact numbers"):
+                e_term((2,)).evaluate_at((c, 1))
 
 
 class TestRingOps:
