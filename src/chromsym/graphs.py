@@ -4,9 +4,9 @@ Graphs are immutable: a vertex count and a frozenset of sorted edge pairs.
 A piece is a triple (graph, left root, right root); the roots coincide for a
 cycle or a one-vertex piece.  Composite families are built by gluing pieces
 in a chain, identifying the right root of each piece with the left root of
-the next.  Labeling is deterministic: the first piece keeps its labels, each
-later piece maps its left root onto the identified vertex and its remaining
-vertices, in increasing order, onto fresh labels.  Equality of two
+the next, which is vertex 0.  Labeling is deterministic: the first piece
+keeps its labels, each later piece maps 0 onto the identified vertex and each
+other vertex x onto x plus the order so far, less one.  Equality of two
 constructed graphs is therefore label equality, not isomorphism.
 
 A one-vertex piece adds no vertex, so lollipops, KKP and PKP chains, the
@@ -14,18 +14,18 @@ b = 3 chains, tadpoles and infinity graphs check their own parameters and
 are then built, with the same labels, as the KPK, KPKP, KPC and kayak chains
 they are special cases of (a lollipop is kpk(a, 1, l)).
 
-Each family graph is checked once.  A :class:`Graph` checks its vertex count
-and pairs when it is made, but the ``rooted_*`` pieces the families glue are
-trusted: their pairs are sorted and in range by construction, so they skip
-both the normalizing of :func:`graph_from_edges` and the checks, and only the
-graph :func:`chain` glues from them is checked.  The twin of a checked graph
-adds only sorted pairs with the new vertex, so it is not checked again.
-:func:`path`, :func:`cycle` and :func:`complete` return checked graphs.
+Each glued family graph is checked once.  A :class:`Graph` checks its vertex
+count and pairs when it is made, but the ``rooted_*`` pieces are trusted:
+their pairs are sorted and in range by construction, so they skip both the
+normalizing of :func:`graph_from_edges` and the checks, and only the graph
+:func:`chain` glues from them is checked.  :func:`path`, :func:`cycle` and
+:func:`complete` return the pieces' graphs, and the twin of a graph adds only
+sorted pairs with the new vertex, so neither is checked.
 
 The four general chains keep the graphs they glue, keyed like the general
 expansions of :mod:`chromsym.formulas`: of the 1349 graphs of a verify sweep
 at n <= 9, 474 are hits, which skip the gluing.  The memo is cleared once it
-holds more than _MEMO_EDGES edges.
+holds more than _MEMO_EDGES edges, and so is that of the ``rooted_*`` pieces.
 """
 
 from __future__ import annotations
@@ -124,48 +124,56 @@ def _complete_pairs(n: int) -> frozenset[tuple[int, int]]:
 
 def path(n: int) -> Graph:
     """The path P_n on n vertices (n - 1 edges)."""
-    if n < 1:
-        raise ParameterError(f"path needs n >= 1, got {n}")
-    return Graph(n, _path_pairs(n))
+    return rooted_path(n)[0]
 
 
 def cycle(n: int) -> Graph:
     """The cycle C_n; n >= 3 so the graph stays simple."""
-    if n < 3:
-        raise ParameterError(f"cycle needs n >= 3 for a simple graph, got {n}")
-    return Graph(n, _cycle_pairs(n))
+    return rooted_cycle(n)[0]
 
 
 def complete(n: int) -> Graph:
     """The complete graph K_n."""
-    if n < 1:
-        raise ValueError(f"complete needs n >= 1, got {n}")
-    return Graph(n, _complete_pairs(n))
+    return rooted_complete(n)[0]
+
+
+_pieces: dict[tuple[Callable, int], Graph] = {}
+
+
+def _piece(pairs: Callable[[int], frozenset[tuple[int, int]]], n: int) -> Graph:
+    """The trusted graph on pairs(n), made once: the pieces are kept, and
+    cleared once they hold more than _MEMO_EDGES edges."""
+    if (pairs, n) not in _pieces:
+        g = _pieces[pairs, n] = _trusted(n, pairs(n))
+        if sum(h.edge_count for h in _pieces.values()) > _MEMO_EDGES:
+            _pieces.clear()
+        return g
+    return _pieces[pairs, n]
 
 
 def rooted_path(n: int) -> Piece:
     """P_n with its endpoints as roots."""
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
-    return _trusted(n, _path_pairs(n)), 0, n - 1
+    return _piece(_path_pairs, n), 0, n - 1
 
 
 def rooted_complete(n: int) -> Piece:
     """K_n rooted at 0 and n-1."""
     if n < 1:
         raise ValueError(f"complete needs n >= 1, got {n}")
-    return _trusted(n, _complete_pairs(n)), 0, n - 1
+    return _piece(_complete_pairs, n), 0, n - 1
 
 
 def rooted_cycle(n: int) -> Piece:
     """C_n with both roots at vertex 0."""
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3 for a simple graph, got {n}")
-    return _trusted(n, _cycle_pairs(n)), 0, 0
+    return _piece(_cycle_pairs, n), 0, 0
 
 
 def chain(*pieces: Piece) -> Graph:
-    """Glue pieces left to right, identifying each right root with the next left root.
+    """Glue pieces left to right, identifying each right root with the next left root, 0.
 
     The result has order sum(|G_i|) - (number of pieces - 1), and is checked.
     """
@@ -174,13 +182,13 @@ def chain(*pieces: Piece) -> Graph:
     first, _, joint = pieces[0]
     n, edges = first.n_vertices, set(first.edges)
     for g, u, v in pieces[1:]:
-        # labels rise with x, except that u takes the joint, below them all,
-        # so a sorted pair stays sorted unless it ends at u
-        label = [n + x - (x > u) for x in range(g.n_vertices)]
-        label[u] = joint
-        edges.update((label[a], label[b]) if b != u else (joint, label[a]) for a, b in g.edges)
-        n += g.n_vertices - 1
-        joint = label[v]
+        if u:
+            raise ValueError(f"chain glues pieces at left root 0, got left root {u}")
+        # x > 0 takes x + off and 0 the joint, below them all, so pairs stay sorted
+        off = n - 1
+        edges.update((a + off, b + off) if a else (joint, b + off) for a, b in g.edges)
+        joint = v + off if v else joint
+        n = g.n_vertices + off
     return Graph(n, frozenset(edges))
 
 
@@ -320,8 +328,8 @@ def infinity(a: int, b: int) -> Graph:
 def twin(g: Graph, v: int) -> Graph:
     """Add a vertex adjacent to v and to every neighbor of v.
 
-    g was checked when it was made, and the pairs with the new vertex are
-    sorted and in range, so the twin is not checked again.
+    g was checked or trusted when it was made, and the pairs with the new
+    vertex are sorted and in range, so the twin is not checked again.
     """
     if not 0 <= v < g.n_vertices:
         raise ValueError(f"vertex {v} out of range")

@@ -61,12 +61,15 @@ The memo holds integer e-coefficients, keyed by packed partitions (see
 At each set of vertices left, the signed e-coefficients of the remainders are
 summed per block size s, as p_{lambda + (s)} = p_s p_lambda, and Newton's
 identity carries the sums down from the largest size one e_j at a time
-(p_sum_to_e), so no p_s is ever expanded.  Components of 256 vertices or
-more are refused before any work.
+(p_sum_to_e), so no p_s is ever expanded.  A key's 8-bit digit bounds a
+component's order by 255 (check_order).  A graph within it is walked as it
+is, one component at a time; a larger one would need big-int masks (268 MB
+for a path of 2**16 vertices), so union-find splits it and refuses a
+component of 256 or more before any mask is built.
 
 X of what is left depends only on the induced subgraph G[rest], so the memo
 has two layers.  The first is keyed by the set rest itself, an int, and
-lives for one component.  On a miss, the second is keyed by the shape of
+lives for one call.  On a miss, the second is keyed by the shape of
 rest: the adjacency rows of G[rest], relabelled 0..m-1 in vertex order, as
 bytes.  Two shapes are equal exactly when the induced labelled graphs are, so
 this layer is shared by every call: the arcs a cycle leaves are paths, and
@@ -81,7 +84,7 @@ from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .graphs import Graph
-from .symfunc import ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e
+from .symfunc import DIGIT_MASK, ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e
 # unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
 from .symfunc import p_to_e  # noqa: F401
 
@@ -188,7 +191,7 @@ def _vertex_order(nbrs: list[int]) -> list[int]:
     return order
 
 
-def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[int, int]:
+def _e_coefficients(k: int, edges) -> dict[int, int]:
     """e-coefficients of X of the graph on vertices 0..k-1, by packed key: the sum over its
     partitions into connected blocks B of prod c(B) p_|B|, taken top down
     over how many vertices of each class of twins are left."""
@@ -436,7 +439,19 @@ def _e_coefficients(k: int, edges: list[tuple[int, int]]) -> dict[int, int]:
             _shared_terms = 0
         return out
 
-    return rec((1 << k) - 1, len(edges))
+    if component(full := (1 << k) - 1) == full:
+        return rec(full, len(edges))
+    # a walk per component, as one over all would hold products in its memo
+    out, left = {0: 1}, full
+    while left:
+        part = component(left)
+        left ^= part
+        prod: dict[int, int] = {}
+        for key, coef in rec(part, sum(part >> at[u] & 1 for u, _ in edges)).items():
+            for other, c in out.items():
+                prod[key + other] = prod.get(key + other, 0) + c * coef
+        out = prod
+    return out
 
 
 # A verify sweep at max-n 9 caches 371 distinct graphs, so 1024 entries keep
@@ -455,6 +470,8 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     if g.n_vertices > _MAX_VERTICES:
         raise OrderLimitError(f"graph has {g.n_vertices} vertices, past the oracle's limit "
                               f"of {_MAX_VERTICES}")
+    if 0 < g.n_vertices <= DIGIT_MASK:  # as it is, with masks of small ints
+        return ESymFunc.from_packed(_e_coefficients(g.n_vertices, g.edges), g.n_vertices)
     comps = _components(g.n_vertices, g.edges)
     check_order(max((len(comp) for comp, _ in comps), default=0))
     # each isolated vertex is a factor e_1: one product for all of them, as
@@ -464,7 +481,7 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     for comp, edges in comps:
         if edges:
             index = {v: i for i, v in enumerate(comp)}
-            local = sorted((index[u], index[v]) for u, v in edges)
+            local = [(index[u], index[v]) for u, v in edges]
             factors.append(ESymFunc.from_packed(_e_coefficients(len(comp), local), len(comp)))
     if isolated or not factors:
         factors.append(e_term((1,) * isolated))

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,22 @@ class TestOracleCmd:
         f.write_text(f"{2 ** 16}\n0 1\n")
         code, out, _ = run(capsys, "oracle", "--graph", str(f))
         assert code == 0 and out.strip() == "2*e[2" + ",1" * (2 ** 16 - 2) + "]"
+
+    def test_long_path_refused_before_any_mask(self, capsys, tmp_path):
+        # masks of the whole 65,536-vertex path would hold about 268 MB; its
+        # one component is refused by its order after union-find, in a few MB
+        n = 2 ** 16
+        f = tmp_path / "path.txt"
+        f.write_text(f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "oracle", "--graph", str(f), "--edge-budget", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: order {n} ") and "up to 255" in err
+        assert peak < 64 * 2 ** 20, peak
 
     def test_internal_key_error_is_not_usage_error(self, capsys, monkeypatch):
         # a KeyError raised inside the oracle is a fault, not a bad argument

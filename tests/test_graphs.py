@@ -1,6 +1,7 @@
 """Graph constructors: orders, edge counts, chain/twin behavior, edge lists."""
 
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given
@@ -230,6 +231,132 @@ class TestMemo:
         assert (len(hits), sum(hits)) == (1088, 474)
         assert capsys.readouterr().out.endswith("1349 instances: 1303 passed, 0 failed, "
                                                 "46 skipped\n")
+
+
+def clique_on(lo: int, size: int) -> set:
+    return {(lo + i, lo + j) for j in range(size) for i in range(j)}
+
+
+def path_on(lo: int, length: int) -> set:
+    """The path lo, lo + 1, ..., lo + length."""
+    return {(lo + i, lo + i + 1) for i in range(length)}
+
+
+def cycle_on(root: int, lo: int, size: int) -> set:
+    """The cycle root, lo, lo + 1, ..., lo + size - 2, back to root."""
+    ring = [root, *range(lo, lo + size - 1)]
+    return {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
+
+
+def twin_of(n: int, edges: set, v: int) -> tuple[int, set]:
+    near = {b if a == v else a for a, b in edges if v in (a, b)}
+    return n + 1, edges | {(u, n) for u in near | {v}}
+
+
+def kpkp_edges(a, g, b, h):
+    # K_a on 0..a-1, a path of g edges from a-1 to K_b, a path of h from K_b's end
+    first = a - 1 + g
+    last = first + b - 1
+    return last + h + 1, clique_on(0, a) | path_on(a - 1, g) | clique_on(first, b) | path_on(last, h)
+
+
+def kpc_edges(a, l, c):
+    join = a - 1 + l
+    return join + c, clique_on(0, a) | path_on(a - 1, l) | cycle_on(join, join + 1, c)
+
+
+def kayak_edges(a, b, l):
+    # C_a on 0..a-1, a path from 0 through a, ..., a+l-1, and C_b at its end
+    trail = [0, *range(a, a + l)]
+    return a + l + b - 1, (cycle_on(0, 1, a) | set(zip(trail, trail[1:]))
+                           | cycle_on(trail[-1], a + l, b))
+
+
+def kchain_edges(parts):
+    lo, edges = 0, set()
+    for p in parts:
+        edges |= clique_on(lo, p)
+        lo += p - 1
+    return lo + 1, edges
+
+
+def melting_edges(a, l, k):
+    return a + l, clique_on(0, a) - {(j, a - 1) for j in range(k)} | path_on(a - 1, l)
+
+
+# every family's graph as explicit vertex ranges, written apart from chain()
+EDGE_LISTS = {
+    "path": lambda n: (n, path_on(0, n - 1)),
+    "cycle": lambda n: (n, cycle_on(0, 1, n)),
+    "kchain": kchain_edges,
+    "lollipop": lambda a, l: kpkp_edges(a, l, 1, 0),
+    "melting-lollipop": melting_edges,
+    "kpk": lambda a, b, l: kpkp_edges(a, l, b, 0),
+    "kpk-b3": lambda a, l: kpkp_edges(a, l, 3, 0),
+    "pkp": lambda g, a, h: kpkp_edges(1, g, a, h),
+    "kkp": lambda a, b, h: kpkp_edges(a, 0, b, h),
+    "kpc": kpc_edges,
+    "tadpole": lambda c, l: kpc_edges(1, l, c),
+    "kpkp": kpkp_edges,
+    "kpkp-b3": lambda a, g, h: kpkp_edges(a, g, 3, h),
+    "tw-path": lambda n, l: twin_of(n, path_on(0, n - 1), l - 1),
+    "tw-cycle": lambda n: twin_of(n, cycle_on(0, 1, n), 0),
+    "tw-lollipop": lambda a, l, h: twin_of(*kpkp_edges(a, l, 1, 0), a + l - 1 - h),
+    "kayak": kayak_edges,
+    "infinity": lambda a, b: kayak_edges(a, b, 0),
+}
+
+
+class TestPieces:
+    """The rooted pieces are made once, shared by every chain, and bounded."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pieces(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_pieces", {})
+
+    def test_every_family_matches_an_edge_list(self):
+        assert set(EDGE_LISTS) == set(FAMILIES)
+        for tag, fam in FAMILIES.items():
+            for params in fam.grid(9):
+                n, edges = EDGE_LISTS[tag](**params)
+                assert fam.build_graph(**params) == Graph(n, frozenset(edges)), (tag, params)
+
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_pieces_are_shared_and_never_changed(self):
+        made = [rooted_path(4), rooted_complete(4), rooted_cycle(4), rooted_path(1)]
+        before = [(g.n_vertices, sorted(g.edges)) for g, _, _ in made]
+        assert [path(4), complete(4), cycle(4), path(1)] == [g for g, _, _ in made]
+        assert all(a is g for a, (g, _, _) in zip([path(4), complete(4), cycle(4)], made))
+        chain(*made)
+        kpkp(4, 3, 4, 3)
+        kayak(4, 4, 3)
+        k_chain((4, 4, 4))
+        tw_path(4, 2)
+        assert [(g.n_vertices, sorted(g.edges)) for g, _, _ in made] == before
+        assert all(rooted(n)[0] is g for rooted, n, (g, _, _) in
+                   zip((rooted_path, rooted_complete, rooted_cycle, rooted_path), (4, 4, 4, 1), made))
+        assert sum(g.edge_count for g in graphs._pieces.values()) <= graphs._MEMO_EDGES
+
+    def test_chain_glues_at_left_root_zero_only(self):
+        with pytest.raises(ValueError, match="left root 0, got left root 1"):
+            chain(rooted_path(3), (path(3), 1, 2))
+
+    def test_pieces_clear_past_their_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MEMO_EDGES", 10)
+        sizes = []
+        for n in [*range(1, 9), *range(1, 9)]:
+            assert rooted_path(n)[0] == Graph(n, frozenset(path_on(0, n - 1)))
+            assert sum(g.edge_count for g in graphs._pieces.values()) <= 10
+            sizes.append(len(graphs._pieces))
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_piece_past_the_bound_is_not_held(self):
+        # K_2000 has 1,999,000 edges, far past the bound: it is not kept
+        small = rooted_path(5)[0]
+        big = weakref.ref(rooted_complete(2000)[0])
+        assert big() is None
+        assert not graphs._pieces
+        assert rooted_path(5)[0] == small
 
 
 class TestTwin:

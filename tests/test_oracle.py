@@ -324,13 +324,18 @@ class TestSignedCount:
         assert graph_x(build(*args)) == formula(*args)
 
 
-def check_literal(n: int, edges) -> None:
-    """The oracle's e-coefficients against the edge-subset sum, taken to the
-    e-basis one p_lambda at a time."""
-    edges = sorted({(min(e), max(e)) for e in edges})
+def literal_x(n: int, edges) -> ESymFunc:
+    """X by the edge-subset sum, taken to the e-basis one p_lambda at a time."""
     want = ESymFunc({}, 0)
-    for key, c in p_subset_sum(n, edges).items():
+    for key, c in p_subset_sum(n, sorted(edges)).items():
         want = want + c * p_product(key)
+    return want
+
+
+def check_literal(n: int, edges) -> None:
+    """The oracle's e-coefficients against the edge-subset sum."""
+    edges = sorted({(min(e), max(e)) for e in edges})
+    want = literal_x(n, edges)
     assert ESymFunc.from_packed(oracle._e_coefficients(n, edges), n) == want, (n, edges)
 
 
@@ -433,6 +438,100 @@ class TestSharedMemo:
             for rec in run_verification(tag, 9):
                 assert rec.status != "fail", rec
         assert len(oracle._shared) < 600
+
+
+class TestComponents:
+    """A graph of at most 255 vertices is walked as it is, one component at a
+    time; a larger one is split by union-find before any mask is built."""
+
+    @pytest.mark.parametrize("n, edges", [
+        # isolated vertices first and last
+        (7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]),
+        # several components, labels out of order: a triangle, a path, an
+        # edge and an isolated vertex, interleaved
+        (10, [(0, 7), (4, 7), (0, 4), (5, 1), (1, 8), (8, 3), (2, 6)]),
+        # a star, a 4-cycle and a twinned path, with shuffled labels
+        (14, [(11, 0), (11, 5), (11, 9), (3, 12), (12, 1), (1, 8), (8, 3),
+              (2, 10), (10, 13), (13, 6), (6, 4), (2, 7), (7, 10)]),
+        # only isolated vertices, and no vertex at all
+        (5, []),
+        (0, []),
+    ], ids=["isolated_ends", "interleaved", "shuffled", "edgeless", "empty"])
+    def test_disconnected_graphs_match_literal_subset_sum(self, n, edges, monkeypatch):
+        def no_union_find(*args):
+            raise AssertionError("union-find ran on a graph of at most 255 vertices")
+        if n:  # the empty graph has no component, and takes the other route
+            monkeypatch.setattr(oracle, "_components", no_union_find)
+        clear_shared_memo()
+        g = graph_from_edges(n, edges)
+        assert graph_x(g) == literal_x(n, g.edges)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12), st.randoms(use_true_random=False))
+    def test_components_multiply(self, n, rng):
+        # X of a disconnected graph is the product of X over its components,
+        # each relabelled 0..m-1 and computed alone
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, frozenset(rng.sample(pairs, min(len(pairs), rng.randint(0, n)))))
+        clear_shared_memo()
+        got = graph_x(g)
+        want, left = one(), set(range(n))
+        while left:
+            comp, todo = set(), [min(left)]
+            while todo:
+                u = todo.pop()
+                if u not in comp:
+                    comp.add(u)
+                    todo += [b if a == u else a for a, b in g.edges if u in (a, b)]
+            left -= comp
+            index = {v: i for i, v in enumerate(sorted(comp))}
+            part = graph_from_edges(len(comp), [(index[a], index[b]) for a, b in g.edges
+                                                if a in comp])
+            want = want * graph_x(part)
+        assert got == want
+
+    def test_each_component_is_walked_alone(self):
+        # two interleaved copies of P_8 store the shapes of one P_8: no
+        # remainder holds vertices of both
+        clear_shared_memo()
+        graph_x(path(8))
+        alone = set(oracle._shared)
+        clear_shared_memo()
+        twice = graph_from_edges(16, [(2 * i + c, 2 * i + 2 + c) for i in range(7) for c in (0, 1)])
+        assert graph_x(twice) == graph_x(path(8)) * graph_x(path(8))
+        assert set(oracle._shared) == alone
+
+    def test_connected_graph_goes_as_it_is(self, monkeypatch):
+        # no relabelling and no copy of the edges: the graph's own frozenset
+        seen = []
+        walk = oracle._e_coefficients
+
+        def spy(k, edges):
+            seen.append((k, edges))
+            return walk(k, edges)
+        monkeypatch.setattr(oracle, "_e_coefficients", spy)
+        g = kpkp(3, 2, 4, 1)
+        assert graph_x(g) == graph_x(Graph(g.n_vertices, frozenset(sorted(g.edges))))
+        assert seen[0][0] == g.n_vertices and seen[0][1] is g.edges
+
+    def test_255_and_256_vertex_components(self, monkeypatch):
+        # a connected star of 255 vertices is handed to the walk, which builds
+        # the masks; one of 256 is refused before the walk is entered
+        class Admitted(Exception):
+            pass
+
+        def admitted(k, edges):
+            raise Admitted(k)
+        monkeypatch.setattr(oracle, "_e_coefficients", admitted)
+        with pytest.raises(Admitted, match="^255$"):
+            graph_x(Graph(255, frozenset((0, v) for v in range(1, 255))))
+        with pytest.raises(ValueError, match="order 256 .*up to 255"):
+            graph_x(Graph(256, frozenset((0, v) for v in range(1, 256))))
+        # past 255 vertices, components under the bound are split and multiplied
+        monkeypatch.undo()
+        clear_shared_memo()
+        for n in (255, 256):
+            assert graph_x(Graph(n, path(5).edges)) == graph_x(path(5)) * e_term((1,) * (n - 5))
 
 
 class TestVertexOrder:
