@@ -46,7 +46,7 @@ The four general forms keep what they return, once their parameters pass the
 check, keyed by the form and its positional parameters, so special cases and
 keyword calls share entries: of the 1303 evaluations of a verify sweep at
 n <= 9, 406 are hits, which skip the kernel.  A call that raises stores
-nothing, and the memo is cleared once it holds more than _MEMO_TERMS terms.
+nothing, and the :class:`~chromsym.symfunc.Memo` empties whole past 2**14 terms.
 
 Conventions:
 
@@ -65,7 +65,7 @@ from typing import Callable, Hashable, Iterable
 
 # perfbench's tracer wraps w, theta, theta_minus, gap and rho here by name: keep them importable.
 from .compositions import Composition, ParameterError, gap, rho, theta, theta_minus, w
-from .symfunc import DIGIT, DIGIT_MASK, ESymFunc, OrderLimitError, pack, unpack
+from .symfunc import DIGIT, DIGIT_MASK, ESymFunc, Memo, OrderLimitError, pack, unpack
 
 Acc = dict[int, int]
 Step = Callable[[Hashable, int, int], Iterable[tuple[Hashable, int]]]
@@ -77,9 +77,7 @@ ONE_PASS_MAX_N = 12
 
 # A verify sweep stores 12983 terms at max-n 11, about 130 bytes each, and 38826
 # at max-n 13, where holding 2**14 keeps 259 of its 1248 hits.
-_MEMO_TERMS = 1 << 14
-_memo: dict[tuple, ESymFunc] = {}
-_memo_terms = 0
+_memo = Memo(1 << 14, lambda f: len(f.terms))
 
 
 def composition_sum(n: int, step: Step, start: Hashable) -> Acc:
@@ -217,19 +215,6 @@ def _two_pass(n: int, step: Step, start: Hashable) -> Acc:
         if held > MAX_TERMS:
             raise OrderLimitError(f"order {n} holds more than {MAX_TERMS} terms after offset {s}")
     return {key: c for key, c in total.items() if c}
-
-
-def _remembered(key: tuple, make: Callable[[], ESymFunc]) -> ESymFunc:
-    """The expansion stored under key, else make()'s, stored unless make raises."""
-    global _memo_terms
-    if key in _memo:
-        return _memo[key]
-    out = _memo[key] = make()
-    _memo_terms += len(out.terms)
-    if _memo_terms > _MEMO_TERMS:
-        _memo.clear()
-        _memo_terms = 0
-    return out
 
 
 def _wf(s: int, p: int) -> int:
@@ -382,7 +367,7 @@ def x_kpk(a: int, b: int, l: int) -> ESymFunc:
         if state == "first":
             return (("w", p),) if p >= b else ((p, 1),)
         return (("w", p - state),) if p >= b else ()
-    return _remembered(("kpk", a, b, l), lambda: _finish(
+    return _memo.remember(("kpk", a, b, l), lambda: _finish(
         composition_sum(n, step, "first"), n, factorial(a - 1) * factorial(b - 1)))
 
 
@@ -433,7 +418,7 @@ def x_kpc(a: int, l: int, c: int) -> ESymFunc:
         if s < x <= s + p:
             coeff *= s + p - x
         return ((i1, coeff),)
-    return _remembered(("kpc", a, l, c), lambda: _finish(
+    return _memo.remember(("kpc", a, l, c), lambda: _finish(
         composition_sum(n, step, 0), n, factorial(a - 1)))
 
 
@@ -485,7 +470,7 @@ def x_kpkp(a: int, g: int, b: int, h: int) -> ESymFunc:
         if s + p < n:
             return (((high, p >= a, s <= h), _wf(s, p)),)
         return ((None, last(s, p, high, prev_big, near)),)
-    return _remembered(("kpkp", a, g, b, h), lambda: _finish(
+    return _memo.remember(("kpkp", a, g, b, h), lambda: _finish(
         _add({pack((n,)): (b - 1) * n}, composition_sum(n, step, (None, False, False))), n,
         factorial(a - 1) * factorial(b - 2)))
 
@@ -651,7 +636,7 @@ def x_kayak(a: int, b: int, l: int) -> ESymFunc:
         if i1 > j1:
             coeff += i1 * (i1 - j1) * (j1 - 1) + rest * (i1 * (j1 - 1) + j1 * (i1 - 1))
         return ((0, coeff * (end - x)),)
-    return _remembered(("kayak", a, b, l), lambda: _finish(
+    return _memo.remember(("kayak", a, b, l), lambda: _finish(
         _add(composition_sum(n, single, 0), composition_sum(n, split, 0)), n))
 
 

@@ -24,8 +24,9 @@ sorted pairs with the new vertex, so neither is checked.
 
 The four general chains keep the graphs they glue, keyed like the general
 expansions of :mod:`chromsym.formulas`: of the 1349 graphs of a verify sweep
-at n <= 9, 474 are hits, which skip the gluing.  The memo is cleared once it
-holds more than _MEMO_EDGES edges, and so is that of the ``rooted_*`` pieces.
+at n <= 9, 474 are hits, which skip the gluing.  They and the ``rooted_*``
+pieces are kept in two :class:`~chromsym.symfunc.Memo`: a call that raises
+stores nothing, and each is emptied once it holds more than 2**14 edges.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .compositions import Composition, ParameterError
+from .symfunc import Memo
 
 
 @dataclass(frozen=True)
@@ -76,22 +78,8 @@ def graph_from_edges(n_vertices: int, edges) -> Graph:
 
 # A verify sweep stores 6549 edges at max-n 9, about 120 bytes each, and 42761
 # at max-n 13, where holding 2**14 keeps 379 of its 1468 hits.
-_MEMO_EDGES = 1 << 14
-_memo: dict[tuple, Graph] = {}
-_memo_edges = 0
-
-
-def _remembered(key: tuple, make: Callable[[], Graph]) -> Graph:
-    """The graph stored under key, else make()'s, stored unless make raises."""
-    global _memo_edges
-    if key in _memo:
-        return _memo[key]
-    out = _memo[key] = make()
-    _memo_edges += out.edge_count
-    if _memo_edges > _MEMO_EDGES:
-        _memo.clear()
-        _memo_edges = 0
-    return out
+_memo = Memo(1 << 14, lambda g: g.edge_count)
+_pieces = Memo(_memo.cap, lambda g: g.edge_count)
 
 
 Piece = tuple[Graph, int, int]
@@ -137,18 +125,9 @@ def complete(n: int) -> Graph:
     return rooted_complete(n)[0]
 
 
-_pieces: dict[tuple[Callable, int], Graph] = {}
-
-
 def _piece(pairs: Callable[[int], frozenset[tuple[int, int]]], n: int) -> Graph:
-    """The trusted graph on pairs(n), made once: the pieces are kept, and
-    cleared once they hold more than _MEMO_EDGES edges."""
-    if (pairs, n) not in _pieces:
-        g = _pieces[pairs, n] = _trusted(n, pairs(n))
-        if sum(h.edge_count for h in _pieces.values()) > _MEMO_EDGES:
-            _pieces.clear()
-        return g
-    return _pieces[pairs, n]
+    """The trusted graph on pairs(n), made once and kept in the memo of pieces."""
+    return _pieces.remember((pairs, n), lambda: _trusted(n, pairs(n)))
 
 
 def rooted_path(n: int) -> Piece:
@@ -248,7 +227,7 @@ def kpk(a: int, b: int, l: int) -> Graph:
     """Clique - path - clique chain K_a + P_{l+1} + K_b."""
     if a < 1 or b < 1 or l < 0:
         raise ParameterError(f"kpk needs a, b >= 1 and l >= 0, got {(a, b, l)}")
-    return _remembered(("kpk", a, b, l), lambda: chain(
+    return _memo.remember(("kpk", a, b, l), lambda: chain(
         rooted_complete(a), rooted_path(l + 1), rooted_complete(b)))
 
 
@@ -278,7 +257,7 @@ def kpkp(a: int, g: int, b: int, h: int) -> Graph:
     if a < 1 or b < 2 or g < 0 or h < 0:
         raise ParameterError(
             f"kpkp needs a >= 1, b >= 2, g, h >= 0, got {(a, g, b, h)}")
-    return _remembered(("kpkp", a, g, b, h), lambda: chain(
+    return _memo.remember(("kpkp", a, g, b, h), lambda: chain(
         rooted_complete(a), rooted_path(g + 1), rooted_complete(b), rooted_path(h + 1)))
 
 
@@ -294,7 +273,7 @@ def kpc(a: int, l: int, c: int) -> Graph:
     if a < 1 or l < 0 or c < 3:
         raise ParameterError(
             f"kpc needs a >= 1, l >= 0, c >= 3, got {(a, l, c)}")
-    return _remembered(("kpc", a, l, c), lambda: chain(
+    return _memo.remember(("kpc", a, l, c), lambda: chain(
         rooted_complete(a), rooted_path(l + 1), rooted_cycle(c)))
 
 
@@ -310,7 +289,7 @@ def kayak(a: int, b: int, l: int) -> Graph:
     if a < 3 or b < 3 or l < 0:
         raise ParameterError(
             f"kayak needs a, b >= 3 and l >= 0, got {(a, b, l)}")
-    return _remembered(("kayak", a, b, l), lambda: chain(
+    return _memo.remember(("kayak", a, b, l), lambda: chain(
         rooted_cycle(a), rooted_path(l + 1), rooted_cycle(b)))
 
 

@@ -74,8 +74,8 @@ rest: the adjacency rows of G[rest], relabelled 0..m-1 in vertex order, as
 bytes.  Two shapes are equal exactly when the induced labelled graphs are, so
 this layer is shared by every call: the arcs a cycle leaves are paths, and
 the small graphs of a verify sweep meet the same remainders again and again.
-It is capped by the number of coefficients it holds, and cleared when it
-would go past the cap.
+It is a :class:`~chromsym.symfunc.Memo` capped by the number of
+coefficients it holds, and emptied whole once it goes past the cap.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from functools import lru_cache, reduce
 from math import comb, factorial
 
 from .graphs import Graph
-from .symfunc import DIGIT_MASK, ESymFunc, OrderLimitError, check_order, e_term, p_sum_to_e
+from .symfunc import DIGIT_MASK, ESymFunc, Memo, OrderLimitError, check_order, e_term, p_sum_to_e
 # unused here: perfbench/tracer.py times p_to_e by wrapping oracle.p_to_e
 from .symfunc import p_to_e  # noqa: F401
 
@@ -102,9 +102,7 @@ _MAX_VERTICES = 1 << 16
 # packed key, so a cap of 2**16 coefficients holds at most about 8 MB.  Past
 # it the memo is cleared, which costs only recomputation: each call still
 # finishes from its own memo.
-_SHARED_TERMS = 1 << 16
-_shared: dict[bytes, dict[int, int]] = {}
-_shared_terms = 0
+_shared = Memo(1 << 16, len)
 
 
 class EdgeBudgetError(Exception):
@@ -145,6 +143,8 @@ def _vertex_order(nbrs: list[int]) -> list[int]:
     lowest-labelled vertex of largest degree, and again at the lowest
     unvisited vertex whenever it runs out."""
     k = len(nbrs)
+    if not k:
+        return []
     deg = [m.bit_count() for m in nbrs]
     by_deg: dict[int, int] = {}  # the mask of the vertices of each degree
     for u, d in enumerate(deg):
@@ -396,7 +396,6 @@ def _e_coefficients(k: int, edges) -> dict[int, int]:
         return data[::width] if m <= 8 else b"".join([data[i::width] for i in range(m + 7 >> 3)])
 
     def rec(rest: int, n_edges: int) -> dict[int, int]:
-        global _shared_terms
         if not n_edges:
             return {rest.bit_count(): 1}  # p_1^m = e_1^m, which packs to m
         if rest in memo:
@@ -431,12 +430,7 @@ def _e_coefficients(k: int, edges) -> dict[int, int]:
             acc = by_size.setdefault(size, {})
             for key, coef in rec(left, n_edges - touching).items():
                 acc[key] = acc.get(key, 0) + c * coef
-        out = p_sum_to_e(by_size)
-        _shared[form] = memo[rest] = out
-        _shared_terms += len(out)
-        if _shared_terms > _SHARED_TERMS:
-            _shared.clear()
-            _shared_terms = 0
+        out = memo[rest] = _shared.put(form, p_sum_to_e(by_size))
         return out
 
     if component(full := (1 << k) - 1) == full:
@@ -470,7 +464,7 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
     if g.n_vertices > _MAX_VERTICES:
         raise OrderLimitError(f"graph has {g.n_vertices} vertices, past the oracle's limit "
                               f"of {_MAX_VERTICES}")
-    if 0 < g.n_vertices <= DIGIT_MASK:  # as it is, with masks of small ints
+    if g.n_vertices <= DIGIT_MASK:  # as it is, with masks of small ints
         return ESymFunc.from_packed(_e_coefficients(g.n_vertices, g.edges), g.n_vertices)
     comps = _components(g.n_vertices, g.edges)
     check_order(max((len(comp) for comp, _ in comps), default=0))
@@ -483,6 +477,6 @@ def csf_bruteforce(g: Graph, max_edges: int = DEFAULT_EDGE_BUDGET) -> ESymFunc:
             index = {v: i for i, v in enumerate(comp)}
             local = [(index[u], index[v]) for u, v in edges]
             factors.append(ESymFunc.from_packed(_e_coefficients(len(comp), local), len(comp)))
-    if isolated or not factors:
+    if isolated:
         factors.append(e_term((1,) * isolated))
     return reduce(ESymFunc.__mul__, factors)

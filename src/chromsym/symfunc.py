@@ -21,6 +21,9 @@ with a fixed digit, sum of m_i << DIGIT * (i - 1) for m_i parts equal to i
 their keys, and e_1^m packs to m.  ``p_sum_to_e`` takes a sum of power sums
 with such coefficients to the e-basis by Newton's identity; ``p_to_e`` is
 its cached single-degree case, unpacked.
+
+:class:`Memo` is the one memo of values kept across calls, bounded by their
+size: general expansions and chains, rooted pieces and the oracle's remainders.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from functools import cache
 from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .compositions import Partition, rho
 
@@ -314,3 +317,30 @@ def p_to_e(k: int) -> ESymFunc:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return ESymFunc.from_packed(p_sum_to_e({k: {0: 1}}), k)
+
+
+class Memo(dict):
+    """A dict whose held is the sum of size(value) over its values, emptied
+    whole by the :meth:`put` that takes held past cap."""
+
+    __slots__ = ("cap", "size", "held")
+
+    def __init__(self, cap: int, size: Callable[[Any], int]):
+        super().__init__()
+        self.cap, self.size, self.held = cap, size, 0
+
+    def put(self, key: Hashable, value):
+        """Store value under a key not yet stored, and return it."""
+        self[key] = value
+        self.held += self.size(value)
+        if self.held > self.cap:
+            self.clear()
+        return value
+
+    def remember(self, key: Hashable, make: Callable[[], Any]):
+        """The value stored under key, else make()'s, stored unless make raises."""
+        return self[key] if key in self else self.put(key, make())
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0

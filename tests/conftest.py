@@ -3,6 +3,7 @@
 import pytest
 
 from chromsym import formulas, graphs
+from chromsym.symfunc import Memo
 
 # the families whose evaluators and graphs reach the four memoized general forms
 GENERAL_FORM_FAMILIES = ("lollipop", "kpk", "kpk-b3", "pkp", "kkp", "kpc", "tadpole", "kpkp",
@@ -12,18 +13,18 @@ GENERAL_FORM_FAMILIES = ("lollipop", "kpk", "kpk-b3", "pkp", "kkp", "kpc", "tadp
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Empty memos of the general expansions and chains for one test, restored after it."""
-    for mod, held in ((formulas, "_memo_terms"), (graphs, "_memo_edges")):
-        monkeypatch.setattr(mod, "_memo", {})
-        monkeypatch.setattr(mod, held, 0)
+    for mod in (formulas, graphs):
+        monkeypatch.setattr(mod, "_memo", Memo(mod._memo.cap, mod._memo.size))
 
 
 def count_hits(mod, monkeypatch) -> list[bool]:
-    """Whether each memo lookup of mod, from now on, finds its key stored."""
+    """Whether each lookup in mod's memo of general forms, from now on, finds its key stored."""
     hits = []
-    remembered = mod._remembered
+    remember = Memo.remember
 
-    def spy(key, make):
-        hits.append(key in mod._memo)
-        return remembered(key, make)
-    monkeypatch.setattr(mod, "_remembered", spy)
+    def spy(memo, key, make):
+        if memo is mod._memo:
+            hits.append(key in memo)
+        return remember(memo, key, make)
+    monkeypatch.setattr(Memo, "remember", spy)
     return hits

@@ -58,7 +58,7 @@ from chromsym.graphs import (
     tw_path,
 )
 from chromsym.oracle import csf_bruteforce
-from chromsym.symfunc import OrderLimitError, e_term, pack
+from chromsym.symfunc import Memo, OrderLimitError, e_term, pack
 from conftest import GENERAL_FORM_FAMILIES, count_hits
 from reference_formulas import f123_check
 from reference_oracle import x_tw_lollipop_rec, x_tw_path_rec
@@ -198,8 +198,7 @@ def sweep_through(path, monkeypatch) -> list:
         return result
     with monkeypatch.context() as patch:
         patch.setattr(formulas, "composition_sum", through)
-        patch.setattr(formulas, "_memo", {})
-        patch.setattr(formulas, "_memo_terms", 0)
+        patch.setattr(formulas, "_memo", Memo(formulas._memo.cap, formulas._memo.size))
         for fam in FAMILIES.values():
             for params in fam.grid(14):
                 formulas._memo.clear()
@@ -238,7 +237,6 @@ class TestKernelPaths:
 def fresh(fam, params):
     """fam's value at params computed anew, with the memo of the general forms empty."""
     formulas._memo.clear()
-    formulas._memo_terms = 0
     return fam.evaluate(**params)
 
 
@@ -251,7 +249,7 @@ class TestMemo:
         for fam, params in tuples:
             fam.evaluate(**params)
         stored = [fam.evaluate(**params) for fam, params in tuples]
-        assert formulas._memo_terms == sum(len(f.terms) for f in formulas._memo.values()) > 0
+        assert formulas._memo.held == sum(len(f.terms) for f in formulas._memo.values()) > 0
         for (fam, params), got in zip(tuples, stored):
             want = fresh(fam, params)
             assert got == want and got.to_json() == want.to_json(), (fam.tag, params)
@@ -277,17 +275,17 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(OrderLimitError, match="more than 10 kernel moves"):
                 x_kpk(3, 3, 8)
-        assert not formulas._memo and not formulas._memo_terms
+        assert not formulas._memo and not formulas._memo.held
 
     def test_memo_clears_past_its_cap(self, monkeypatch):
-        monkeypatch.setattr(formulas, "_MEMO_TERMS", 100)
+        monkeypatch.setattr(formulas._memo, "cap", 100)
         fam = FAMILIES["kpkp"]
         sizes = []
         for params in [*fam.grid(9), *fam.grid(9)]:
             got = fam.evaluate(**params)
             sizes.append(len(formulas._memo))
-            assert formulas._memo_terms <= 100
-            assert formulas._memo_terms == sum(len(f.terms) for f in formulas._memo.values())
+            assert formulas._memo.held <= 100
+            assert formulas._memo.held == sum(len(f.terms) for f in formulas._memo.values())
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
         for params in fam.grid(9):
             assert x_kpkp(**params) == fresh(fam, params)

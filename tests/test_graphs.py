@@ -40,6 +40,7 @@ from chromsym.graphs import (
     tw_path,
     twin,
 )
+from chromsym.symfunc import Memo
 from conftest import GENERAL_FORM_FAMILIES, count_hits
 
 
@@ -169,7 +170,6 @@ class TestChains:
 def fresh(fam, params) -> Graph:
     """fam's graph at params built anew, with the memo of the general chains empty."""
     graphs._memo.clear()
-    graphs._memo_edges = 0
     return fam.build_graph(**params)
 
 
@@ -182,7 +182,7 @@ class TestMemo:
         for fam, params in tuples:
             fam.build_graph(**params)
         stored = [fam.build_graph(**params) for fam, params in tuples]
-        assert graphs._memo_edges == sum(g.edge_count for g in graphs._memo.values()) > 0
+        assert graphs._memo.held == sum(g.edge_count for g in graphs._memo.values()) > 0
         for (fam, params), got in zip(tuples, stored):
             want = fresh(fam, params)
             assert got == want and format_edge_list(got) == format_edge_list(want)
@@ -209,17 +209,17 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(ValueError, match="bad piece"):
                 kayak(3, 3, 1)
-        assert not graphs._memo and not graphs._memo_edges
+        assert not graphs._memo and not graphs._memo.held
 
     def test_memo_clears_past_its_cap(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_MEMO_EDGES", 100)
+        monkeypatch.setattr(graphs._memo, "cap", 100)
         fam = FAMILIES["kpkp"]
         sizes = []
         for params in [*fam.grid(9), *fam.grid(9)]:
             got = fam.build_graph(**params)
             sizes.append(len(graphs._memo))
-            assert graphs._memo_edges <= 100
-            assert graphs._memo_edges == sum(g.edge_count for g in graphs._memo.values())
+            assert graphs._memo.held <= 100
+            assert graphs._memo.held == sum(g.edge_count for g in graphs._memo.values())
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
         for params in fam.grid(9):
             assert kpkp(**params) == fresh(fam, params)
@@ -312,7 +312,7 @@ class TestPieces:
 
     @pytest.fixture(autouse=True)
     def fresh_pieces(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_pieces", {})
+        monkeypatch.setattr(graphs, "_pieces", Memo(graphs._pieces.cap, graphs._pieces.size))
 
     def test_every_family_matches_an_edge_list(self):
         assert set(EDGE_LISTS) == set(FAMILIES)
@@ -335,18 +335,19 @@ class TestPieces:
         assert [(g.n_vertices, sorted(g.edges)) for g, _, _ in made] == before
         assert all(rooted(n)[0] is g for rooted, n, (g, _, _) in
                    zip((rooted_path, rooted_complete, rooted_cycle, rooted_path), (4, 4, 4, 1), made))
-        assert sum(g.edge_count for g in graphs._pieces.values()) <= graphs._MEMO_EDGES
+        assert graphs._pieces.held == sum(g.edge_count for g in graphs._pieces.values())
+        assert graphs._pieces.held <= graphs._pieces.cap == graphs._memo.cap
 
     def test_chain_glues_at_left_root_zero_only(self):
         with pytest.raises(ValueError, match="left root 0, got left root 1"):
             chain(rooted_path(3), (path(3), 1, 2))
 
     def test_pieces_clear_past_their_cap(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_MEMO_EDGES", 10)
+        monkeypatch.setattr(graphs._pieces, "cap", 10)
         sizes = []
         for n in [*range(1, 9), *range(1, 9)]:
             assert rooted_path(n)[0] == Graph(n, frozenset(path_on(0, n - 1)))
-            assert sum(g.edge_count for g in graphs._pieces.values()) <= 10
+            assert graphs._pieces.held == sum(g.edge_count for g in graphs._pieces.values()) <= 10
             sizes.append(len(graphs._pieces))
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
@@ -355,7 +356,7 @@ class TestPieces:
         small = rooted_path(5)[0]
         big = weakref.ref(rooted_complete(2000)[0])
         assert big() is None
-        assert not graphs._pieces
+        assert not graphs._pieces and not graphs._pieces.held
         assert rooted_path(5)[0] == small
 
 

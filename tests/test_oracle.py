@@ -342,7 +342,6 @@ def check_literal(n: int, edges) -> None:
 def clear_shared_memo() -> None:
     """Empty the memo of remainders that the oracle shares across calls."""
     oracle._shared.clear()
-    oracle._shared_terms = 0
 
 
 def graph_x(g: Graph) -> ESymFunc:
@@ -402,13 +401,13 @@ class TestSharedMemo:
         graphs = [random_graph(rng, 8) for _ in range(60)] + [cycle(9), kayak(3, 4, 2)]
         clear_shared_memo()
         want = [graph_x(g) for g in graphs]
-        assert oracle._shared_terms > 300
-        monkeypatch.setattr(oracle, "_SHARED_TERMS", 100)
+        assert oracle._shared.held > 300
+        monkeypatch.setattr(oracle._shared, "cap", 100)
         clear_shared_memo()
         for g, x in zip(graphs, want):
             assert graph_x(g) == x
-            assert oracle._shared_terms <= 100
-            assert oracle._shared_terms == sum(map(len, oracle._shared.values()))
+            assert oracle._shared.held <= 100
+            assert oracle._shared.held == sum(map(len, oracle._shared.values()))
         clear_shared_memo()
 
     def test_stores_packed_keys_and_no_zeros(self):
@@ -418,7 +417,7 @@ class TestSharedMemo:
         assert values
         for value in values:
             assert all(type(key) is int and c != 0 for key, c in value.items())
-        assert oracle._shared_terms == sum(map(len, values))
+        assert oracle._shared.held == sum(map(len, values))
 
     def test_cycle_arcs_share_their_paths(self):
         # the arcs a cycle leaves are paths, so a cycle, which the vertex
@@ -460,11 +459,16 @@ class TestComponents:
     def test_disconnected_graphs_match_literal_subset_sum(self, n, edges, monkeypatch):
         def no_union_find(*args):
             raise AssertionError("union-find ran on a graph of at most 255 vertices")
-        if n:  # the empty graph has no component, and takes the other route
-            monkeypatch.setattr(oracle, "_components", no_union_find)
+        monkeypatch.setattr(oracle, "_components", no_union_find)
         clear_shared_memo()
         g = graph_from_edges(n, edges)
         assert graph_x(g) == literal_x(n, g.edges)
+
+    def test_empty_graph_takes_the_mask_walk(self):
+        # the parametrized test above checks that no union-find runs for it
+        assert oracle._vertex_order([]) == []
+        assert oracle._e_coefficients(0, []) == {0: 1}
+        assert csf_bruteforce(Graph(0, frozenset())) == one()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 12), st.randoms(use_true_random=False))
@@ -532,6 +536,8 @@ class TestComponents:
         clear_shared_memo()
         for n in (255, 256):
             assert graph_x(Graph(n, path(5).edges)) == graph_x(path(5)) * e_term((1,) * (n - 5))
+        # only isolated vertices: one factor e_1^300
+        assert graph_x(Graph(300, frozenset())) == e_term((1,) * 300)
 
 
 class TestVertexOrder:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chromsym.compositions import rho
-from chromsym.symfunc import (ESymFunc, e_term, one, p_sum_to_e, p_to_e,
+from chromsym.symfunc import (ESymFunc, Memo, e_term, one, p_sum_to_e, p_to_e,
                               pack, unpack, zero)
 
 
@@ -312,3 +312,56 @@ class TestSerialization:
         assert not (e_term((2,), -1)).is_e_positive()
         coeff, key = (e_term((2, 1), -4) + e_term((3,), 9)).min_coefficient()
         assert coeff == -4 and key == (2, 1)
+
+
+class TestMemo:
+    """The one bounded memo: held is the sum of the sizes, and past cap it empties."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(), st.text(max_size=8)), max_size=30,
+                    unique_by=lambda kv: kv[0]))
+    def test_held_is_the_sum_of_sizes_after_every_put(self, puts):
+        # against a plain dict emptied whenever its values' lengths pass 20
+        memo, model = Memo(20, len), {}
+        for key, value in puts:
+            model[key] = value
+            if sum(map(len, model.values())) > 20:
+                model = {}
+            assert memo.put(key, value) is value
+            assert memo == model and memo.held == sum(map(len, memo.values())) <= 20
+
+    def test_empties_past_its_cap(self):
+        memo = Memo(10, len)
+        memo.put("a", "xxxx")
+        memo.put("b", "xxxxxx")
+        assert memo == {"a": "xxxx", "b": "xxxxxx"} and memo.held == 10
+        memo.put("c", "x")
+        assert not memo and memo.held == 0
+        memo.put("d", "x" * 11)
+        assert not memo and memo.held == 0
+
+    def test_clear_resets_held(self):
+        memo = Memo(100, len)
+        memo.put(1, "abc")
+        memo.clear()
+        assert not memo and memo.held == 0
+        memo.put(2, "de")
+        assert memo.held == 2
+
+    def test_raising_make_stores_nothing(self):
+        memo = Memo(100, len)
+
+        def make():
+            raise ValueError("refused")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="refused"):
+                memo.remember("k", make)
+        assert not memo and memo.held == 0
+
+    def test_hit_returns_the_stored_object(self):
+        memo = Memo(100, len)
+        made = []
+        first = memo.remember("k", lambda: made.append(1) or ["v"])
+        again = memo.remember("k", lambda: made.append(2) or ["w"])
+        assert again is first and first == ["v"] and made == [1]
+        assert memo.held == 1
